@@ -20,7 +20,7 @@ test:
 	go build ./... && go test ./...
 
 # The repo-convention static analyzers (cmd/osclint): determinism,
-# oracle pairs, error propagation, map-iteration order, hot-loop
+# enginetest suite registration, error propagation, map-iteration order, hot-loop
 # allocation. Fails on any unsuppressed finding — what CI's osclint
 # job runs.
 lint:

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -28,18 +29,18 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "oscserve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("oscserve", flag.ContinueOnError)
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8765", "listen address")
-		engName  = fs.String("engine", "", "evaluation engine (default: process default; see -list-engines)")
-		list     = fs.Bool("list-engines", false, "list registered engines and exit")
+		engName  = fs.String("engine", "", "evaluation engine (default: parallel; see -list-engines)")
+		list     = fs.Bool("list-engines", false, "list the available engines and exit")
 		workers  = fs.Int("workers", 0, "concurrent jobs (default 2)")
 		queue    = fs.Int("queue", 0, "queued jobs beyond workers before 503 (default 8)")
 		slots    = fs.Int("slots", 0, "concurrent work items across all jobs (default GOMAXPROCS)")
@@ -54,10 +55,10 @@ func run(args []string) error {
 		return err
 	}
 	if *list {
-		fmt.Fprintln(os.Stdout, strings.Join(engine.Names(), "\n"))
-		return nil
+		_, err := fmt.Fprintln(stdout, strings.Join(engine.Names(), "\n"))
+		return err
 	}
-	eng := engine.Default()
+	var eng engine.Engine
 	if *engName != "" {
 		e, err := engine.Get(*engName)
 		if err != nil {

@@ -26,19 +26,18 @@
 // sweeps and oscbench all run through the batch engine.
 //
 // Every measurement and sweep on top of those primitives dispatches
-// through a pluggable engine layer (internal/engine). An Engine says
-// how independent work items run — engine.Serial in index order on
-// the calling goroutine, engine.WordParallel over the
-// internal/parallel pool — and every sweep-shaped entry point has an
-// explicit-engine form (AccuracyVsLengthOn, RobertsCrossSCOn,
-// SweepOn, OptimalSpacingOn, ...): the bare name X runs on the
-// process-default engine (engine.Default, word-parallel; swap it with
-// engine.SetDefault or `oscbench -engine serial`), and each retained
-// XSerial oracle is a one-line shim on engine.Serial rather than a
-// parallel code copy. Cross-engine bit-equivalence and
-// GOMAXPROCS-independence are pinned by one generic suite,
-// internal/engine/enginetest: each package registers its engine entry
-// points as enginetest cases, replayed on every registered engine at
+// through a pluggable engine layer (internal/engine). An Engine has
+// one dispatch method, Run(ctx, n, workers, fn), and says how
+// independent work items run — engine.Serial in index order on the
+// calling goroutine, engine.WordParallel over the internal/parallel
+// pool. Every sweep-shaped entry point has exactly one spelling,
+// X(ctx, e, ...) returning an error (AccuracyVsLength, RobertsCrossSC,
+// dse.Sweep, OptimalSpacing, ...); the serial oracle is the same call
+// with engine.Serial, and `oscbench -engine serial` selects it for a
+// whole run. Cross-engine bit-equivalence and GOMAXPROCS-independence
+// are pinned by one generic suite, internal/engine/enginetest: each
+// package registers its engine entry points as enginetest cases,
+// replayed on the built-ins and the suite's fixture engines at
 // GOMAXPROCS 1 and 4 against the engine.Serial reference.
 //
 // The noise-aware transient path is word-parallel too: the received
@@ -51,8 +50,8 @@
 // transient.Simulator.EvaluateBatch and the dse.NoiseStudy
 // Monte-Carlo harness (oscbench -fig noise) fan per-trial seeds over
 // the same worker pool. The transient measurements follow suit, each an
-// engine-dispatched entry point (TraceOn, MeasureEyeOn, SyncSweepOn,
-// BERWaterfallOn, AccuracyVsLengthOn): Trace and MeasureEye decode 64
+// engine-dispatched entry point (Trace, MeasureEye, SyncSweep,
+// BERWaterfall, AccuracyVsLength): Trace and MeasureEye decode 64
 // cycles per word (core.Unit.Cycles) with block noise, and
 // SyncSweep, BERWaterfall (oscbench -fig waterfall) and
 // AccuracyVsLength fan their points and trials over the selected
@@ -83,9 +82,9 @@
 // pool with per-die derived seeds, reproducible on any core count.
 // Quickstart:
 //
-//	sc, err := image.RobertsCrossSC(src, 4096, seed)  // packed tiled engine
-//	oracle, err := image.RobertsCrossSCSerial(src, 4096, seed)  // identical bits
-//	rows, err := dse.EdgeStudy([]int{64, 256, 1024, 4096}, 7)   // oscbench -fig edge
+//	sc, err := image.RobertsCrossSC(ctx, engine.WordParallel, src, 4096, seed) // packed tiled engine
+//	oracle, err := image.RobertsCrossSC(ctx, engine.Serial, src, 4096, seed)   // identical bits
+//	rows, err := dse.EdgeStudy(ctx, e, []int{64, 256, 1024, 4096}, 7)          // oscbench -fig edge
 //
 // The figure/design-space layer runs on a deterministic parallel
 // sweep engine (internal/dse): every study is an index-ordered list of
@@ -102,24 +101,23 @@
 // (core.EnergyModel.OptimalSpacing) fans its bracketing grid scan —
 // the ~60 independent design solves that dominate it — over the
 // engine in contiguous chunks (engine.Chunked), so dispatch overhead
-// no longer eats the fan-out win, bit-identical to its serial shim. CI tracks the speed itself: the
+// no longer eats the fan-out win, bit-identical on engine.Serial. CI
+// tracks the speed itself: the
 // bench-delta job records the tentpole benchmarks as BENCH_PR5.json
 // and gates them against the committed BENCH_BASELINE.json (refresh
 // with `make bench-baseline`, see cmd/benchdelta). Quickstart:
 //
-//	pts := dse.Fig6A(12, 12)                          // parallel grid of MZIFirst solves
-//	rows := dse.Sweep(len(xs), func(i int) R { ... }) // custom sweep, index-ordered
-//	rows, err := dse.SweepSeededErr(n, seed, point)   // Monte-Carlo, per-point seeds
-//	pow := circuit.PowerTable()                       // shared (weight, zmask) -> mW
+//	pts, err := dse.Fig6A(ctx, e, 12, 12)    // parallel grid of MZIFirst solves
+//	rows, err := dse.Sweep(ctx, e, n, point) // custom sweep, index-ordered; seeds from DeriveSeed(seed, i)
+//	pow := circuit.PowerTable()              // shared (weight, zmask) -> mW
 //
-// The long-running sweeps are robust to interruption and faults. The
-// engine layer dispatches under a context (engine.CtxEngine,
-// engine.RunCtx): SIGINT, a deadline (`oscbench -timeout`), or a
-// worker panic stops the fan-out at an item boundary and surfaces a
-// typed *engine.Partial — which items completed, and why it stopped —
-// instead of crashing; the cancellable entry points (AnalyzeYieldCtx,
-// BERWaterfallCtx, AccuracyVsLengthCtx, GammaVideoCtx, dse.SweepCtx/
-// GridCtx) thread it through every layer. On top of that,
+// The long-running sweeps are robust to interruption and faults. Every
+// dispatch runs under a context (Engine.Run, engine.RunPartial):
+// SIGINT, a deadline (`oscbench -timeout`), or a worker panic stops
+// the fan-out at an item boundary and surfaces a typed *engine.Partial
+// — which items completed, and why it stopped — instead of crashing;
+// every entry point takes the context and threads it through every
+// layer. On top of that,
 // dse.Checkpointer snapshots completed sweep points to disk (atomic
 // writes, fail-closed content-hash keys) so an interrupted run
 // resumes by re-running only the missing indices — bit-identical to
@@ -127,7 +125,7 @@
 // alone. `oscbench -fig yield -checkpoint y.json`, ^C, then `-resume`
 // demonstrates the round trip; CI replays it as a smoke test. The
 // failure paths themselves are tested by deterministic fault
-// injection: engine.Chaos wraps any engine to drop-then-retry, delay,
+// injection: enginetest.Chaos wraps any engine to drop-then-retry, delay,
 // or panic on chosen items, and the enginetest.RunChaos suite asserts
 // every entry point either recovers bit-identically or fails with a
 // typed error naming the faulting index.
@@ -160,10 +158,11 @@
 // /v1/figures, /healthz, /readyz. The service composes the layers
 // above into crash-safety guarantees: a bounded job queue answers 503
 // with Retry-After instead of spawning unbounded goroutines, every
-// job dispatches on one shared engine.Limited (a slot-semaphore
-// engine, registered and enginetest-verified) so concurrent requests
-// never oversubscribe the machine, per-request deadlines thread into
-// the *Ctx entry points and surface engine.Partial progress in typed
+// job — figure renders included — dispatches on one shared
+// engine.Limited (a slot-semaphore engine, enginetest-verified) so
+// concurrent requests never oversubscribe the machine, per-request
+// deadlines thread into every entry point and surface engine.Partial
+// progress in typed
 // 504 bodies, a panicking work item becomes a typed 500 naming the
 // faulting index while the server keeps serving, and SIGTERM drains
 // gracefully — in-flight sweeps checkpoint at an item boundary, and a
@@ -204,9 +203,9 @@
 //     cmd/osclint and CI's osclint job.
 //
 // The reproduction disciplines above — derived seeds instead of wall
-// clocks, sorted map iteration before rendering, pinned X/XSerial
-// oracle pairs, engine entry points registered in the cross-engine
-// enginetest suite, propagated errors, allocation-free worker bodies —
+// clocks, sorted map iteration before rendering, engine entry points
+// registered in the cross-engine enginetest suite, propagated errors,
+// allocation-free worker bodies —
 // are machine-enforced: `make lint` (cmd/osclint, stdlib-only go/ast +
 // go/types) fails CI on any unsuppressed violation, and intentional
 // exceptions carry //osclint:ignore annotations with reasons.

@@ -5,10 +5,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/optics"
 )
 
@@ -43,18 +45,23 @@ func main() {
 	// Energy optimization across the spacing range (Fig. 7a).
 	model := core.NewEnergyModel(2)
 	fmt.Println("energy vs spacing (n=2):")
-	for _, b := range model.Sweep(0.1, 0.3, 9) {
+	ctx := context.Background()
+	sweep, err := model.Sweep(ctx, engine.WordParallel, 0.1, 0.3, 9)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, b := range sweep {
 		fmt.Printf("  %.3f nm: pump %6.2f + probe %6.2f = %6.2f pJ/bit\n",
 			b.WLSpacingNM, b.PumpPJ, b.ProbePJ, b.TotalPJ())
 	}
-	opt, err := model.OptimalSpacing(0.1, 0.3)
+	opt, err := model.OptimalSpacing(ctx, engine.WordParallel, 0.1, 0.3)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("optimum: %.3f nm -> %.2f pJ/bit (paper: 0.165 nm, 20.1 pJ)\n",
 		opt.WLSpacingNM, opt.TotalPJ())
 
-	saving, fixed, _, err := model.EnergySavingVsFixed(1.0, 0.1, 0.3)
+	saving, fixed, err := model.EnergySavingVsFixed(1.0, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/dse"
+	"repro/internal/engine"
 	img "repro/internal/image"
 	"repro/internal/numeric"
 	"repro/internal/optics"
@@ -140,10 +141,14 @@ func TestFigureHarnessSmoke(t *testing.T) {
 	if err := dse.RenderFig5Case(&sb, dse.Fig5A()); err != nil {
 		t.Fatal(err)
 	}
-	if err := dse.RenderFig5C(&sb, dse.Fig5C()); err != nil {
+	fig5c, err := dse.Fig5C(ctx, engine.WordParallel)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := dse.Summary()
+	if err := dse.RenderFig5C(&sb, fig5c); err != nil {
+		t.Fatal(err)
+	}
+	s, err := dse.Summary(ctx, engine.WordParallel)
 	if err != nil {
 		t.Fatal(err)
 	}

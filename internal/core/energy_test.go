@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func TestEnergyHeadline(t *testing.T) {
@@ -10,7 +13,7 @@ func TestEnergyHeadline(t *testing.T) {
 	// ≈20.1 pJ of laser energy per computed bit at the optimal
 	// spacing. Our calibrated model lands within 25 %.
 	m := NewEnergyModel(2)
-	opt, err := m.OptimalSpacing(0.1, 0.3)
+	opt, err := m.OptimalSpacing(context.Background(), engine.WordParallel, 0.1, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +30,7 @@ func TestEnergyOppositeTrends(t *testing.T) {
 	// Fig. 7(a): pump energy grows with spacing, probe energy
 	// shrinks.
 	m := NewEnergyModel(2)
-	sweep := m.Sweep(0.11, 0.3, 12)
+	sweep := mustSweep(t, m, 0.11, 0.3, 12)
 	if len(sweep) < 8 {
 		t.Fatalf("only %d feasible points", len(sweep))
 	}
@@ -54,7 +57,7 @@ func TestOptimalSpacingIndependentOfOrder(t *testing.T) {
 	// polynomial degree (paper: identical for n = 2, 4, 6).
 	var spacings []float64
 	for _, n := range []int{2, 4, 6} {
-		opt, err := NewEnergyModel(n).OptimalSpacing(0.1, 0.3)
+		opt, err := NewEnergyModel(n).OptimalSpacing(context.Background(), engine.WordParallel, 0.1, 0.3)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -98,7 +101,12 @@ func TestFig7bEnergyVsOrder(t *testing.T) {
 }
 
 func TestEnergySavingVsFixed(t *testing.T) {
-	saving, fixed, opt, err := NewEnergyModel(2).EnergySavingVsFixed(1.0, 0.1, 0.3)
+	m := NewEnergyModel(2)
+	opt, err := m.OptimalSpacing(context.Background(), engine.WordParallel, 0.1, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saving, fixed, err := m.EnergySavingVsFixed(1.0, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,17 +165,17 @@ func TestCWPumpAblation(t *testing.T) {
 
 func TestEnergyModelInfeasibleRange(t *testing.T) {
 	m := NewEnergyModel(2)
-	if _, err := m.OptimalSpacing(0.005, 0.02); err == nil {
+	if _, err := m.OptimalSpacing(context.Background(), engine.WordParallel, 0.005, 0.02); err == nil {
 		t.Error("infeasible range accepted")
 	}
-	if _, _, _, err := m.EnergySavingVsFixed(0.01, 0.1, 0.3); err == nil {
+	if _, _, err := m.EnergySavingVsFixed(0.01, EnergyBreakdown{}); err == nil {
 		t.Error("infeasible fixed point accepted")
 	}
 }
 
 func TestSweepSkipsInfeasible(t *testing.T) {
 	m := NewEnergyModel(2)
-	rows := m.Sweep(0.02, 0.3, 30)
+	rows := mustSweep(t, m, 0.02, 0.3, 30)
 	for _, r := range rows {
 		if r.WLSpacingNM < 0.05 {
 			t.Errorf("infeasible spacing %g present in sweep", r.WLSpacingNM)
@@ -176,7 +184,7 @@ func TestSweepSkipsInfeasible(t *testing.T) {
 	if len(rows) == 0 {
 		t.Error("sweep empty")
 	}
-	if got := m.Sweep(0.15, 0.16, 1); len(got) != 2 {
+	if got := mustSweep(t, m, 0.15, 0.16, 1); len(got) != 2 {
 		t.Errorf("degenerate point count handled: %d", len(got))
 	}
 }
@@ -185,7 +193,7 @@ func BenchmarkOptimalSpacingSerial(b *testing.B) {
 	m := NewEnergyModel(2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.OptimalSpacingSerial(0.1, 0.3); err != nil {
+		if _, err := m.OptimalSpacing(context.Background(), engine.Serial, 0.1, 0.3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -195,8 +203,18 @@ func BenchmarkOptimalSpacing(b *testing.B) {
 	m := NewEnergyModel(2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.OptimalSpacing(0.1, 0.3); err != nil {
+		if _, err := m.OptimalSpacing(context.Background(), engine.WordParallel, 0.1, 0.3); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// mustSweep runs EnergyModel.Sweep on the word-parallel engine.
+func mustSweep(t *testing.T, m EnergyModel, loNM, hiNM float64, points int) []EnergyBreakdown {
+	t.Helper()
+	rows, err := m.Sweep(context.Background(), engine.WordParallel, loNM, hiNM, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }

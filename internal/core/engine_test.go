@@ -23,105 +23,104 @@ func yieldSuiteSpec() VariationSpec {
 // TestEngineSuite registers the package's engine-accepting entry
 // points into the generic cross-engine equivalence and
 // GOMAXPROCS-determinism suite: the chunked bracketing pre-pass of
-// OptimalSpacingOn must land on the bit-identical optimum on every
-// engine, and SweepOn must filter feasible rows in index order.
+// OptimalSpacing must land on the bit-identical optimum on every
+// engine, and Sweep must filter feasible rows in index order.
 func TestEngineSuite(t *testing.T) {
+	ctx := context.Background()
 	enginetest.Run(t, nil, []enginetest.Case{
 		{
-			Name: "core.EnergyModel.OptimalSpacingOn/order2",
+			Name: "core.EnergyModel.OptimalSpacing/order2",
 			Eval: func(e engine.Engine) (any, error) {
-				return NewEnergyModel(2).OptimalSpacingOn(e, 0.1, 0.3)
+				return NewEnergyModel(2).OptimalSpacing(ctx, e, 0.1, 0.3)
 			},
 		},
 		{
-			Name: "core.EnergyModel.OptimalSpacingOn/order4",
+			Name: "core.EnergyModel.OptimalSpacing/order4",
 			Eval: func(e engine.Engine) (any, error) {
-				return NewEnergyModel(4).OptimalSpacingOn(e, 0.1, 0.3)
+				return NewEnergyModel(4).OptimalSpacing(ctx, e, 0.1, 0.3)
 			},
 		},
 		{
-			Name: "core.EnergyModel.SweepOn",
+			Name: "core.EnergyModel.Sweep",
 			Eval: func(e engine.Engine) (any, error) {
 				// The range straddles the feasibility boundary, so the
 				// index-ordered filter is actually exercised.
-				return NewEnergyModel(2).SweepOn(e, 0.02, 0.3, 30), nil
+				return NewEnergyModel(2).Sweep(ctx, e, 0.02, 0.3, 30)
 			},
 		},
 		{
-			Name: "core.AnalyzeYieldOn",
+			Name: "core.AnalyzeYield",
 			Eval: func(e engine.Engine) (any, error) {
-				return AnalyzeYieldOn(e, PaperParams(), yieldSuiteSpec())
-			},
-		},
-		{
-			Name: "core.AnalyzeYieldCtx",
-			Eval: func(e engine.Engine) (any, error) {
-				return AnalyzeYieldCtx(context.Background(), e, PaperParams(), yieldSuiteSpec())
+				return AnalyzeYield(ctx, e, PaperParams(), yieldSuiteSpec())
 			},
 		},
 	})
 }
 
-// TestSerialShims pins the legacy names onto the engine layer: the
-// serial oracle OptimalSpacingSerial equals OptimalSpacing (and both
-// reject an infeasible range), Sweep equals SweepOn on the default.
+// TestSerialShims pins the serial oracle onto the engine layer: each
+// entry point on engine.Serial equals the word-parallel run (and both
+// reject an infeasible range).
 func TestSerialShims(t *testing.T) {
+	ctx := context.Background()
 	m := NewEnergyModel(2)
-	serial, err := m.OptimalSpacingSerial(0.1, 0.3)
+	serial, err := m.OptimalSpacing(ctx, engine.Serial, 0.1, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := m.OptimalSpacing(0.1, 0.3)
+	par, err := m.OptimalSpacing(ctx, engine.WordParallel, 0.1, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial != def {
-		t.Errorf("OptimalSpacingSerial %+v vs OptimalSpacing %+v", serial, def)
+	if serial != par {
+		t.Errorf("serial OptimalSpacing %+v vs parallel %+v", serial, par)
 	}
-	if _, err := m.OptimalSpacingSerial(0.005, 0.02); err == nil {
-		t.Error("serial shim accepted infeasible range")
+	for _, e := range []engine.Engine{engine.Serial, engine.WordParallel} {
+		if _, err := m.OptimalSpacing(ctx, e, 0.005, 0.02); err == nil {
+			t.Errorf("%s: OptimalSpacing accepted an infeasible range", e.Name())
+		}
 	}
-	rows := m.Sweep(0.11, 0.3, 8)
-	rowsOn := m.SweepOn(engine.Serial, 0.11, 0.3, 8)
-	if len(rows) != len(rowsOn) {
-		t.Fatalf("Sweep %d rows vs serial SweepOn %d", len(rows), len(rowsOn))
+	rows, err := m.Sweep(ctx, engine.WordParallel, 0.11, 0.3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsSerial, err := m.Sweep(ctx, engine.Serial, 0.11, 0.3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(rowsSerial) {
+		t.Fatalf("parallel Sweep %d rows vs serial %d", len(rows), len(rowsSerial))
 	}
 	for i := range rows {
-		if rows[i] != rowsOn[i] {
-			t.Errorf("row %d: %+v vs %+v", i, rows[i], rowsOn[i])
+		if rows[i] != rowsSerial[i] {
+			t.Errorf("row %d: %+v vs %+v", i, rows[i], rowsSerial[i])
 		}
 	}
 
-	ySerial, err := AnalyzeYieldSerial(PaperParams(), yieldSuiteSpec())
+	ySerial, err := AnalyzeYield(ctx, engine.Serial, PaperParams(), yieldSuiteSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := AnalyzeYield(PaperParams(), yieldSuiteSpec())
+	y, err := AnalyzeYield(ctx, engine.WordParallel, PaperParams(), yieldSuiteSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ySerial != y {
-		t.Errorf("AnalyzeYieldSerial %+v vs AnalyzeYield %+v", ySerial, y)
+		t.Errorf("serial AnalyzeYield %+v vs parallel %+v", ySerial, y)
 	}
 }
 
-// TestNilEngineMisuse: OptimalSpacingOn reports a nil engine as a
-// clean error; SweepOn (no error return) panics, matching engine.Use.
+// TestNilEngineMisuse: every engine-accepting entry point reports a
+// nil engine as a clean error.
 func TestNilEngineMisuse(t *testing.T) {
+	ctx := context.Background()
 	m := NewEnergyModel(2)
-	if _, err := m.OptimalSpacingOn(nil, 0.1, 0.3); err == nil {
-		t.Error("OptimalSpacingOn(nil) did not error")
+	if _, err := m.OptimalSpacing(ctx, nil, 0.1, 0.3); err == nil {
+		t.Error("OptimalSpacing(nil) did not error")
 	}
-	if _, err := AnalyzeYieldOn(nil, PaperParams(), yieldSuiteSpec()); err == nil {
-		t.Error("AnalyzeYieldOn(nil) did not error")
+	if _, err := AnalyzeYield(ctx, nil, PaperParams(), yieldSuiteSpec()); err == nil {
+		t.Error("AnalyzeYield(nil) did not error")
 	}
-	if _, err := AnalyzeYieldCtx(context.Background(), nil, PaperParams(), yieldSuiteSpec()); err == nil {
-		t.Error("AnalyzeYieldCtx(nil) did not error")
+	if _, err := m.Sweep(ctx, nil, 0.1, 0.3, 4); err == nil {
+		t.Error("Sweep(nil) did not error")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("SweepOn(nil engine) did not panic")
-		}
-	}()
-	m.SweepOn(nil, 0.1, 0.3, 4)
 }

@@ -5,11 +5,15 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 func TestRenderEnergyChart(t *testing.T) {
 	m := core.NewEnergyModel(2)
-	pts := m.Sweep(0.11, 0.3, 15)
+	pts, err := m.Sweep(ctx, engine.WordParallel, 0.11, 0.3, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sb strings.Builder
 	if err := RenderEnergyChartASCII(&sb, pts, 80, 16, 0); err != nil {
 		t.Fatal(err)
@@ -31,7 +35,7 @@ func TestRenderEnergyChart(t *testing.T) {
 }
 
 func TestApplicationProfile(t *testing.T) {
-	rows, err := ApplicationProfile()
+	rows, err := ApplicationProfile(ctx, engine.WordParallel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,7 +206,7 @@ func (c *Checkpointer[T]) Run(ctx context.Context, e engine.Engine, point func(i
 
 	var firstSaveErr error
 	var saveErrMu sync.Mutex
-	dispatchErr := engine.RunCtx(ctx, dispatch, len(missing), nil, func(j int) {
+	dispatchErr := engine.RunPartial(ctx, dispatch, len(missing), func(j int) {
 		i := missing[j]
 		if err := c.record(i, point(i)); err != nil {
 			saveErrMu.Lock()

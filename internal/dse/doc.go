@@ -20,19 +20,21 @@
 //
 // # Parallel sweep engine
 //
-// Every study above runs on the generic sweep runners in sweep.go —
-// Sweep, SweepErr, SweepSeeded(Err) and Grid — which fan independent
-// points over the internal/parallel worker pool and return results in
-// index order. Randomness, where a study needs it, derives from the
+// Every study above runs on the one sweep runner in sweep.go, Sweep,
+// which fans independent points over the engine it is handed and
+// returns results in index order (a grid is a sweep decoded
+// row-major). Randomness, where a study needs it, derives from the
 // base seed and the point index alone (stochastic.DeriveSeed), so
-// every sweep is bit-identical at any GOMAXPROCS and under any
-// scheduling; nested use is fine (a point function may itself call the
-// word-parallel batch evaluators, as NoiseStudy and StreamLengthSweep
-// do). Quickstart:
+// every sweep is bit-identical on every engine, at any GOMAXPROCS and
+// under any scheduling. A point function never dispatches on the
+// engine it was handed: nested engine sweeps run on engine.Serial,
+// while the word-parallel batch evaluators a point may call (as
+// NoiseStudy and StreamLengthSweep do) keep their own pool.
+// Quickstart:
 //
-//	pts := dse.Fig6A(12, 12)        // 144 MZI-first solves over the pool
-//	rows := dse.Sweep(n, point)     // custom study: point(i) -> row, index-ordered
-//	rows, err := dse.SweepSeededErr(n, seed, func(i int, s uint64) (Row, error) {
-//	    ...                         // Monte-Carlo point with its own derived seed
+//	pts, err := dse.Fig6A(ctx, e, 12, 12) // 144 MZI-first solves on e
+//	rows, err := dse.Sweep(ctx, e, n, func(i int) (Row, error) {
+//	    seed := stochastic.DeriveSeed(base, i) // Monte-Carlo point, own seed
+//	    ...
 //	})
 package dse

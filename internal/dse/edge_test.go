@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func TestEdgeStudyQualityGrowsWithLength(t *testing.T) {
-	rows, err := EdgeStudy([]int{64, 1024}, 7)
+	rows, err := EdgeStudy(ctx, engine.WordParallel, []int{64, 1024}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,13 +33,13 @@ func TestEdgeStudyQualityGrowsWithLength(t *testing.T) {
 }
 
 func TestEdgeStudyErrors(t *testing.T) {
-	if _, err := EdgeStudy([]int{64, 0}, 1); err == nil {
+	if _, err := EdgeStudy(ctx, engine.WordParallel, []int{64, 0}, 1); err == nil {
 		t.Error("non-positive stream length accepted")
 	}
 }
 
 func TestRenderEdgeStudy(t *testing.T) {
-	rows, err := EdgeStudy([]int{128}, 3)
+	rows, err := EdgeStudy(ctx, engine.WordParallel, []int{128}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

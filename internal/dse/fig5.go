@@ -1,10 +1,12 @@
 package dse
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/optics"
 )
 
@@ -114,13 +116,14 @@ type Fig5CResult struct {
 
 // Fig5C enumerates every (x-state, z-combination) of the paper
 // design, as plotted in Fig. 5(c). The enumeration is a weight ×
-// pattern grid evaluated over the worker pool; Grid returns rows in
-// row-major order, so the table reads exactly as the serial loops did.
-func Fig5C() Fig5CResult {
+// pattern grid evaluated on e; rows come back in row-major order, so
+// the table reads exactly as the serial loops did.
+func Fig5C(ctx context.Context, e engine.Engine) (Fig5CResult, error) {
 	c := core.MustCircuit(core.PaperParams())
 	n := c.P.Order
-	var res Fig5CResult
-	res.Rows = Grid(n+1, 1<<(n+1), func(weight, pattern int) Fig5CRow {
+	patterns := 1 << (n + 1)
+	rows, err := Sweep(ctx, e, (n+1)*patterns, func(k int) (Fig5CRow, error) {
+		weight, pattern := k/patterns, k%patterns
 		z := make([]int, n+1)
 		for b := range z {
 			z[b] = (pattern >> b) & 1
@@ -130,10 +133,14 @@ func Fig5C() Fig5CResult {
 			Z:          z,
 			ReceivedMW: c.ReceivedPowerMW(weight, z),
 			Bit:        z[c.SelectedChannel(weight)],
-		}
+		}, nil
 	})
+	if err != nil {
+		return Fig5CResult{}, err
+	}
+	res := Fig5CResult{Rows: rows}
 	res.MinZero, res.MaxZero, res.MinOne, res.MaxOne = c.PowerBands()
-	return res
+	return res, nil
 }
 
 // RenderFig5C writes the enumeration table and the band summary.

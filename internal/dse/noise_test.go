@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 func smallNoiseSpec(t *testing.T) NoiseStudySpec {
@@ -26,7 +27,7 @@ func smallNoiseSpec(t *testing.T) NoiseStudySpec {
 
 func TestNoiseStudyShape(t *testing.T) {
 	spec := smallNoiseSpec(t)
-	rows, err := NoiseStudy(spec)
+	rows, err := NoiseStudy(ctx, engine.WordParallel, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +65,11 @@ func TestNoiseStudyDeterministic(t *testing.T) {
 	spec := smallNoiseSpec(t)
 	spec.Trials = 8
 	spec.BERBits = 10_000
-	a, err := NoiseStudy(spec)
+	a, err := NoiseStudy(ctx, engine.WordParallel, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NoiseStudy(spec)
+	b, err := NoiseStudy(ctx, engine.WordParallel, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestNoiseStudyMeasuredTracksAnalytic(t *testing.T) {
 		BERBits: 50_000,
 		Seed:    11,
 	}
-	rows, err := NoiseStudy(spec)
+	rows, err := NoiseStudy(ctx, engine.WordParallel, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestNoiseStudyValidation(t *testing.T) {
 		{X: 0.5, Lengths: []int{64}, ProbeMW: []float64{1}, SigmaScale: []float64{0}}, // bad scale
 	}
 	for i, spec := range bad {
-		if _, err := NoiseStudy(spec); err == nil {
+		if _, err := NoiseStudy(ctx, engine.WordParallel, spec); err == nil {
 			t.Errorf("spec %d accepted", i)
 		}
 	}
@@ -126,7 +127,7 @@ func TestDefaultNoiseStudySpecRuns(t *testing.T) {
 	spec.Trials = 4
 	spec.BERBits = 5_000
 	spec.Lengths = []int{64, 256}
-	rows, err := NoiseStudy(spec)
+	rows, err := NoiseStudy(ctx, engine.WordParallel, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 package dse
 
 import (
+	"context"
+
 	"repro/internal/engine"
-	"repro/internal/stochastic"
 )
 
 // This file is the deterministic sweep layer the figure generators
@@ -10,92 +11,45 @@ import (
 // index-ordered list of independent points — a grid cell of Fig. 6(a),
 // one polynomial order of Fig. 7, one (probe, sigma) combination of
 // the noise study — so they all reduce to "evaluate point i"
-// dispatched on an evaluation engine (internal/engine; the ...On
-// variants take one explicitly, the rest use engine.Default()). The
-// runners keep results in index order and derive any randomness from
-// the point index alone (stochastic.DeriveSeed), so a sweep returns
-// identical results on every conforming engine, at any GOMAXPROCS and
-// under any scheduling — which carries every figure built on them
-// through the cross-engine equivalence suite for free. Nested
-// parallelism is fine: point functions may themselves call the batch
-// evaluators (which use the same pool primitive), as the noise and
-// stream-length studies do.
+// dispatched on an evaluation engine (internal/engine) through the one
+// entry point below. Sweep keeps results in index order and point
+// functions derive any randomness from the point index alone
+// (stochastic.DeriveSeed(seed, i)), so a sweep returns identical
+// results on every conforming engine, at any GOMAXPROCS and under any
+// scheduling — which carries every figure built on it through the
+// cross-engine equivalence suite for free. A grid is a sweep over
+// rows*cols points decoded row-major (r, c = i/cols, i%cols).
+//
+// Nested sweeps: a point function never dispatches on the engine it
+// was handed. Inner engine-accepting calls (core.EnergyModel.Sweep,
+// OptimalSpacing, image.RobertsCrossSC, ...) run on engine.Serial — an
+// engine.Limited outer engine would otherwise deadlock, outer points
+// holding every slot while their inner items wait for one. The
+// engine-less batch evaluators (stochastic.EvaluateBatch,
+// core.Unit.EvaluateBatch, transient.Simulator.EvaluateBatch) keep
+// their own worker-pool fan-out.
 
-// SweepOn evaluates point(i) for every i in [0, n) on the given
-// engine and returns the results in index order. A nil engine panics
-// (this entry point has no error return).
-func SweepOn[T any](e engine.Engine, n int, point func(i int) T) []T {
-	out := make([]T, n)
-	engine.Use(e).For(n, func(i int) { out[i] = point(i) })
-	return out
-}
-
-// Sweep is SweepOn on the process-default engine.
-func Sweep[T any](n int, point func(i int) T) []T {
-	return SweepOn(engine.Default(), n, point)
-}
-
-// SweepErrOn is SweepOn for fallible points. Every point runs; if any
-// fail, the error of the lowest failing index is returned (a
-// deterministic choice) along with a nil slice. A nil engine is an
-// error.
-func SweepErrOn[T any](e engine.Engine, n int, point func(i int) (T, error)) ([]T, error) {
-	if err := engine.Check(e); err != nil {
-		return nil, err
+// Sweep evaluates point(i) for every i in [0, n) on e under ctx and
+// returns the results in index order. Every point runs; if any fail,
+// the error of the lowest failing index is returned (a deterministic
+// choice) with a nil slice. An interruption — ctx fired, a point
+// panicked, a shard engine skipped the indices it does not own —
+// returns the partially filled slice with a *engine.Partial: entries
+// whose Done bit is set are valid and safe to persist. A nil engine is
+// an error.
+func Sweep[T any](ctx context.Context, e engine.Engine, n int, point func(i int) (T, error)) ([]T, error) {
+	if n < 0 {
+		n = 0
 	}
 	out := make([]T, n)
 	errs := make([]error, n)
-	e.For(n, func(i int) { out[i], errs[i] = point(i) })
+	if err := engine.RunPartial(ctx, e, n, func(i int) { out[i], errs[i] = point(i) }); err != nil {
+		return out, err
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
-}
-
-// SweepErr is SweepErrOn on the process-default engine.
-func SweepErr[T any](n int, point func(i int) (T, error)) ([]T, error) {
-	return SweepErrOn(engine.Default(), n, point)
-}
-
-// SweepSeededOn is SweepOn with a per-point seed derived from the
-// base seed and the index alone — the hook Monte-Carlo sweeps use to
-// stay reproducible on any core count.
-func SweepSeededOn[T any](e engine.Engine, n int, seed uint64, point func(i int, pointSeed uint64) T) []T {
-	return SweepOn(e, n, func(i int) T { return point(i, stochastic.DeriveSeed(seed, i)) })
-}
-
-// SweepSeeded is SweepSeededOn on the process-default engine.
-func SweepSeeded[T any](n int, seed uint64, point func(i int, pointSeed uint64) T) []T {
-	return SweepSeededOn(engine.Default(), n, seed, point)
-}
-
-// SweepSeededErrOn is SweepErrOn with a derived per-point seed.
-func SweepSeededErrOn[T any](e engine.Engine, n int, seed uint64, point func(i int, pointSeed uint64) (T, error)) ([]T, error) {
-	return SweepErrOn(e, n, func(i int) (T, error) { return point(i, stochastic.DeriveSeed(seed, i)) })
-}
-
-// SweepSeededErr is SweepSeededErrOn on the process-default engine.
-func SweepSeededErr[T any](n int, seed uint64, point func(i int, pointSeed uint64) (T, error)) ([]T, error) {
-	return SweepSeededErrOn(engine.Default(), n, seed, point)
-}
-
-// GridOn evaluates point(r, c) for every cell of an rows × cols grid
-// on the given engine and returns the results in row-major order —
-// the shape of the Fig. 6(a) design-space study. A nil engine panics,
-// matching SweepOn.
-func GridOn[T any](e engine.Engine, rows, cols int, point func(r, c int) T) []T {
-	if rows < 0 {
-		rows = 0
-	}
-	if cols < 0 {
-		cols = 0
-	}
-	return SweepOn(e, rows*cols, func(i int) T { return point(i/cols, i%cols) })
-}
-
-// Grid is GridOn on the process-default engine.
-func Grid[T any](rows, cols int, point func(r, c int) T) []T {
-	return GridOn(engine.Default(), rows, cols, point)
 }

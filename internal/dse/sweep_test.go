@@ -5,22 +5,30 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/stochastic"
 )
 
 func TestSweepOrdersResults(t *testing.T) {
-	got := Sweep(100, func(i int) int { return i * i })
+	got, err := Sweep(ctx, engine.WordParallel, 100, func(i int) (int, error) { return i * i, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range got {
 		if v != i*i {
 			t.Fatalf("index %d: got %d", i, v)
 		}
 	}
-	if len(Sweep(0, func(int) int { return 1 })) != 0 {
-		t.Error("empty sweep not empty")
+	for _, n := range []int{0, -3} {
+		if got, err := Sweep(ctx, engine.WordParallel, n, func(int) (int, error) { return 1, nil }); err != nil || len(got) != 0 {
+			t.Errorf("Sweep(n=%d) = %v, %v, want empty", n, got, err)
+		}
 	}
 }
 
 func TestSweepErrReturnsLowestIndexError(t *testing.T) {
-	_, err := SweepErr(10, func(i int) (int, error) {
+	_, err := Sweep(ctx, engine.WordParallel, 10, func(i int) (int, error) {
 		if i%3 == 2 { // fails at 2, 5, 8
 			return 0, fmt.Errorf("point %d", i)
 		}
@@ -29,7 +37,7 @@ func TestSweepErrReturnsLowestIndexError(t *testing.T) {
 	if err == nil || err.Error() != "point 2" {
 		t.Fatalf("err = %v, want the lowest failing index", err)
 	}
-	got, err := SweepErr(4, func(i int) (int, error) { return i + 1, nil })
+	got, err := Sweep(ctx, engine.WordParallel, 4, func(i int) (int, error) { return i + 1, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,9 +46,21 @@ func TestSweepErrReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
+// TestSweepSeededDerivesPerPointSeeds: point functions derive their
+// seeds from (base, index) alone — the NoiseStudy pattern — so seeds
+// are reproducible, distinct per point and distinct per base.
 func TestSweepSeededDerivesPerPointSeeds(t *testing.T) {
-	a := SweepSeeded(8, 42, func(_ int, seed uint64) uint64 { return seed })
-	b := SweepSeeded(8, 42, func(_ int, seed uint64) uint64 { return seed })
+	seeds := func(base uint64) []uint64 {
+		t.Helper()
+		out, err := Sweep(ctx, engine.WordParallel, 8, func(i int) (uint64, error) {
+			return stochastic.DeriveSeed(base, i), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	a, b := seeds(42), seeds(42)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("seeded sweep not reproducible")
 	}
@@ -51,24 +71,34 @@ func TestSweepSeededDerivesPerPointSeeds(t *testing.T) {
 		}
 		seen[s] = true
 	}
-	c := SweepSeeded(8, 43, func(_ int, seed uint64) uint64 { return seed })
-	if reflect.DeepEqual(a, c) {
+	if reflect.DeepEqual(a, seeds(43)) {
 		t.Error("different base seeds derived identical point seeds")
 	}
 }
 
+// TestGridRowMajorOrder: a grid is a sweep over rows*cols points
+// decoded row-major — the Fig. 5(c) and Fig. 6(a) layout.
 func TestGridRowMajorOrder(t *testing.T) {
-	got := Grid(3, 4, func(r, c int) [2]int { return [2]int{r, c} })
-	if len(got) != 12 {
-		t.Fatalf("%d cells", len(got))
+	const rows, cols = 3, 4
+	got, err := Sweep(ctx, engine.WordParallel, rows*cols, func(i int) ([2]int, error) {
+		return [2]int{i / cols, i % cols}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for i, cell := range got {
 		if cell != [2]int{i / 4, i % 4} {
 			t.Fatalf("cell %d = %v", i, cell)
 		}
 	}
-	if len(Grid(0, 5, func(r, c int) int { return 0 })) != 0 {
-		t.Error("empty grid not empty")
+	pts, err := Fig6A(ctx, engine.WordParallel, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(pts); i++ {
+		if pts[i].ILdB < pts[i-1].ILdB {
+			t.Fatalf("Fig6A cell %d breaks IL-major order: %v after %v", i, pts[i], pts[i-1])
+		}
 	}
 }
 
@@ -101,42 +131,42 @@ func assertDeterministic[T any](t *testing.T, name string, gen func() (T, error)
 
 func TestFig6ADeterministicAcrossGOMAXPROCS(t *testing.T) {
 	assertDeterministic(t, "Fig6A", func() ([]Fig6APoint, error) {
-		return Fig6A(4, 3), nil
+		return Fig6A(ctx, engine.WordParallel, 4, 3)
 	})
 }
 
 func TestFig6BDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	assertDeterministic(t, "Fig6B", func() ([]Fig6BPoint, error) {
-		return Fig6B([]float64{1e-2, 1e-4, 1e-6})
+		return Fig6B(ctx, engine.WordParallel, []float64{1e-2, 1e-4, 1e-6})
 	})
 }
 
 func TestFig6CDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	assertDeterministic(t, "Fig6C", func() ([]Fig6CPoint, error) {
-		pts := Fig6C()
+		pts, err := Fig6C(ctx, engine.WordParallel)
 		// Errors carry unstable fmt pointers; compare the data fields.
 		for i := range pts {
 			pts[i].Err = nil
 		}
-		return pts, nil
+		return pts, err
 	})
 }
 
 func TestFig7ADeterministicAcrossGOMAXPROCS(t *testing.T) {
 	assertDeterministic(t, "Fig7A", func() ([]Fig7ASeries, error) {
-		return Fig7A([]int{2, 4}, 7)
+		return Fig7A(ctx, engine.WordParallel, []int{2, 4}, 7)
 	})
 }
 
 func TestFig7BDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	assertDeterministic(t, "Fig7B", func() ([]Fig7BRow, error) {
-		return Fig7B([]int{2, 4})
+		return Fig7B(ctx, engine.WordParallel, []int{2, 4})
 	})
 }
 
 func TestRingSensitivityDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	assertDeterministic(t, "RingSensitivity", func() ([]RingSensitivityRow, error) {
-		return RingSensitivity([]float64{0.75, 1.0, 1.25}), nil
+		return RingSensitivity(ctx, engine.WordParallel, []float64{0.75, 1.0, 1.25})
 	})
 }
 
@@ -150,18 +180,18 @@ func TestNoiseStudyDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		Seed:    21,
 	}
 	assertDeterministic(t, "NoiseStudy", func() ([]NoiseRow, error) {
-		return NoiseStudy(spec)
+		return NoiseStudy(ctx, engine.WordParallel, spec)
 	})
 }
 
 func TestEdgeStudyDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	assertDeterministic(t, "EdgeStudy", func() ([]EdgeStudyRow, error) {
-		return EdgeStudy([]int{64, 128}, 7)
+		return EdgeStudy(ctx, engine.WordParallel, []int{64, 128}, 7)
 	})
 }
 
 func TestStreamLengthSweepDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	assertDeterministic(t, "StreamLengthSweep", func() ([]StreamSweepRow, error) {
-		return StreamLengthSweep([]int{64, 128}, 5, 9)
+		return StreamLengthSweep(ctx, engine.WordParallel, []int{64, 128}, 5, 9)
 	})
 }

@@ -93,28 +93,14 @@ func (s YieldStudy) Fold(dies []core.DieOutcome) ([]YieldPoint, error) {
 	return points, nil
 }
 
-// RunOn runs the whole study on e without checkpointing.
-func (s YieldStudy) RunOn(e engine.Engine) ([]YieldPoint, error) {
-	if err := engine.Check(e); err != nil {
-		return nil, err
-	}
+// Run runs the whole study on e without checkpointing: an
+// interruption surfaces the sweep layer's *engine.Partial; a nil
+// engine is an error.
+func (s YieldStudy) Run(ctx context.Context, e engine.Engine) ([]YieldPoint, error) {
 	if err := s.check(); err != nil {
 		return nil, err
 	}
-	dies := SweepOn(e, s.N(), s.Die)
-	return s.Fold(dies)
-}
-
-// RunCtx is RunOn under cooperative cancellation: an interruption
-// surfaces the sweep layer's *engine.Partial.
-func (s YieldStudy) RunCtx(ctx context.Context, e engine.Engine) ([]YieldPoint, error) {
-	if err := engine.Check(e); err != nil {
-		return nil, err
-	}
-	if err := s.check(); err != nil {
-		return nil, err
-	}
-	dies, err := SweepCtx(ctx, e, s.N(), s.Die)
+	dies, err := Sweep(ctx, e, s.N(), func(i int) (core.DieOutcome, error) { return s.Die(i), nil })
 	if err != nil {
 		return nil, err
 	}

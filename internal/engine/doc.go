@@ -1,86 +1,91 @@
-// Package engine is the pluggable evaluation-engine layer: a small
+// Package engine is the pluggable evaluation-engine layer: one
 // interface over "run n independent, index-addressed work items" that
 // every sweep, study and image batch in this repo dispatches through.
-// Two engines are built in — Serial, the in-order reference
-// implementation, and WordParallel, the internal/parallel worker pool
-// the word-parallel migration runs on — and callers select one per
-// call (the ...On entry points) or per process (SetDefault, oscbench's
-// -engine flag). Serial oracles are no longer parallel code copies:
-// XSerial is the same implementation run on engine.Serial.
+// An Engine has exactly three methods — Name, Workers and Run — and
+// every engine-accepting entry point in the repo has exactly one
+// spelling, X(ctx, e, ...), that returns an error. Two engines are
+// built in: Serial, the in-order reference implementation every test
+// oracle runs on, and WordParallel, the internal/parallel worker pool
+// the production paths run on (what a nil figures.Config.Engine or
+// serve.Config.Engine means, and oscbench/oscserve's -engine default).
+// There is no process-global engine: callers pass one per call, and
+// Get resolves the two built-in names for CLI flags.
 //
 // # The determinism contract
 //
 // An Engine is a scheduler, not a randomness source. Any Engine — the
-// built-ins, a future bipolar or nanocavity backend, a remote shard —
-// must satisfy the contract that makes results engine-independent:
+// built-ins, the wrappers below, a future bipolar or nanocavity
+// backend, a remote shard — must satisfy the contract that makes
+// results engine-independent:
 //
-//   - Exactly once: For(n, fn) and ForWorker(n, workers, fn) call fn
-//     for every index in [0, n) exactly once, and return only after
-//     every call has completed. No index may be skipped, duplicated,
-//     or left in flight.
-//   - Index-derived randomness: which goroutine runs which index is
-//     the engine's business, so work functions must derive any
-//     randomness from the index alone — stochastic.DeriveSeed(base, i)
-//     — never from worker identity, shared generators, or the clock.
-//     (The detrand lint rule enforces this at the call sites.)
+//   - Exactly once: Run(ctx, n, workers, fn) calls fn for every index
+//     in [0, n) exactly once and returns nil only after every call has
+//     completed. No index may be skipped, duplicated, or left in
+//     flight.
+//   - Index-derived randomness: which goroutine runs which index is the
+//     engine's business, so work functions must derive any randomness
+//     from the index alone — stochastic.DeriveSeed(base, i) — never
+//     from worker identity, shared generators, or the clock. (The
+//     detrand lint rule enforces this at the call sites.)
 //   - Index-ordered aggregation: engines impose no execution order;
 //     callers write results to out[i] and reduce in index order, so
 //     floating-point sums fold identically under any scheduling.
-//   - O(workers) scratch: ForWorker's worker argument is in
-//     [0, workers) and each concurrent goroutine owns a distinct
-//     worker index for the duration of the call, so callers may
-//     address per-worker scratch without locks. Workers(n) reports the
-//     pool size the engine will use for n items, so scratch can be
-//     sized before the fan-out; callers pass that same count back to
-//     ForWorker.
+//   - O(workers) scratch: Run's worker argument is in [0, workers) and
+//     each concurrent goroutine owns a distinct worker index for the
+//     duration of the call, so callers may address per-worker scratch
+//     without locks. Workers(n) reports the pool size the engine will
+//     use for n items, so scratch can be sized before the fan-out;
+//     callers pass that same count back to Run (workers <= 0 means
+//     Workers(n)).
+//   - Item-boundary cancellation: once ctx fires, Run hands out no
+//     further items and returns the context's error after the
+//     in-flight ones finish — items never run partially and are never
+//     re-run. A panicking item stops the handout too and surfaces as a
+//     returned *parallel.PanicError naming the faulting index, never
+//     as a crash.
 //
-// Any implementation holding those four properties produces results
-// bit-identical to engine.Serial. That is not left to inspection: new
-// engines register once (Register) and the generic
-// enginetest.Run suite — one registration per package, covering every
-// engine-accepting entry point — replays each path on every registered
-// engine at GOMAXPROCS 1 and 4 against the Serial reference.
+// Any implementation holding those properties produces results
+// bit-identical to engine.Serial. That is not left to inspection: the
+// generic enginetest.Run suite — one registration per package,
+// covering every engine-accepting entry point — replays each path on
+// the built-ins and the enginetest fixture engines (fault-injecting
+// chaos, a slot-starved Limited, a recomposed shard family) at
+// GOMAXPROCS 1 and 4 against the Serial reference.
 //
-// Single-stream paths (transient.Simulator.TraceOn, MeasureEyeOn)
-// consume one sequential noise stream and cannot fan out; they run
-// their walk as a single work item, so every conforming engine emits
-// the identical waveform and the suite still catches engines that
-// violate exactly-once dispatch.
+// # Nested sweeps
 //
-// Chunked batches cheap per-item work into contiguous index ranges
-// (at most Workers ranges, each at least minChunk items) so paths
-// whose items are a few microseconds — the OptimalSpacing bracketing
-// scan — pay per-chunk rather than per-item dispatch overhead. With
-// one worker (or one chunk) it degrades to the pure serial walk.
+// A work item never dispatches on the engine it runs on. Sweeps nested
+// inside a sweep point — the per-order spacing sweep and optimum
+// search of Fig. 7, the edge detection inside an edge-study point —
+// run on engine.Serial. The outer sweep already spreads the work over
+// the pool, and dispatching inward on a Limited engine would deadlock:
+// outer items hold every slot while their inner items wait for one.
 //
-// # Cancellation, checkpointing, and fault injection
+// Single-stream paths (transient.Simulator.Trace, MeasureEye) consume
+// one sequential noise stream and cannot fan out; they run their walk
+// as a single work item, so every conforming engine emits the identical
+// waveform and the suite still catches engines that violate
+// exactly-once dispatch.
 //
-// Long sweeps are interruptible without giving up the contract. An
-// engine may implement CtxEngine (both built-ins do) to dispatch
-// under a context: ForCtx/ForWorkerCtx stop handing out items at the
-// next item boundary once the context fires — items never run
-// partially, are never re-run, and a worker panic surfaces as a typed
-// *parallel.PanicError naming the faulting index instead of crashing
-// the process. Engines without the ctx methods are adapted
-// transparently (a per-item poll around the plain dispatch), so every
-// registered engine is cancellable. RunCtx wraps an interruption in
-// *Partial: the per-index Done bitmap and Completed count that tell a
-// caller exactly which items finished — the unit of resumability
-// dse.Checkpointer builds on (periodic durable snapshots, fail-closed
-// key hashing, resume re-runs only the missing indices with
-// bit-identical reassembly; oscbench -fig yield -checkpoint/-resume).
+// Chunked batches cheap per-item work into contiguous index ranges (at
+// most Workers ranges, each at least minChunk items) so paths whose
+// items are a few microseconds — the OptimalSpacing bracketing scan —
+// pay per-chunk rather than per-item dispatch overhead. On a one-worker
+// engine it is one range, the pure serial walk.
 //
-// Because "stops cleanly and resumes bit-identically" is a claim
-// about failure paths, it is tested under injected faults: Chaos
-// wraps any inner engine and — deterministically, from a seed —
-// drops-then-retries items, delays them, or panics at a chosen index,
-// while still satisfying the exactly-once contract when configured
-// recoverably (the registered "chaos" engine runs the full enginetest
-// suite like any backend). enginetest.RunChaos replays every entry
-// point under recoverable chaos (must match the Serial reference
-// bit-for-bit) and under an injected panic (must surface a typed
-// error or panic that names the fault — silently swallowing it fails
-// the suite).
+// # Interruption, checkpointing and admission
+//
+// RunPartial wraps a Run interruption in *Partial: the per-index Done
+// bitmap and Completed count that tell a caller exactly which items
+// finished — the unit of resumability dse.Checkpointer builds on
+// (periodic durable snapshots, fail-closed key hashing, resume re-runs
+// only the missing indices with bit-identical reassembly; oscbench
+// -fig yield -checkpoint/-resume). A nil engine is an error at every
+// entry point (Check).
+//
+// Limited wraps an engine behind a slot semaphore shared by every
+// dispatch through it — the admission seam oscserve runs every request
+// on, so concurrent jobs never oversubscribe the machine.
 //
 // # Sharding
 //
@@ -88,17 +93,12 @@
 // item i's result never depends on which process ran it, a sweep can
 // split across machines by index alone. Shard{K, N, Inner} wraps any
 // engine and dispatches only the indices shard K of N owns (i%N == K,
-// or contiguous blocks with Contiguous), bit-identical to the full
-// run on the owned subset. A shard deliberately breaks exactly-once
-// over [0, n) — it is exactly-once over its slice — so its ctx
-// dispatch reports the unowned remainder through the normal Partial
-// machinery with ErrShardRemainder as the cause and the Done bitmap
-// equal to ownership; callers (dse.Checkpointer, oscbench -shard,
-// /v1/yield's shard/of fields) treat that as "my share is complete"
-// and assemble shards back into a full study with cmd/oscmerge or
-// ShardUnion. The registered "sharded" engine is a ShardUnion of
-// three round-robin shards over WordParallel: the union restores
-// exactly-once coverage, so it passes the full enginetest suite —
-// gapped or overlapping unions are the teeth fixtures that prove the
-// suite would catch a wrong split.
+// or contiguous blocks with Contiguous), bit-identical to the full run
+// on the owned subset. A shard deliberately breaks exactly-once over
+// [0, n) — it is exactly-once over its slice — so its Run reports the
+// unowned remainder as ErrShardRemainder, which RunPartial turns into a
+// Partial whose Done bitmap equals ownership; callers (dse.Checkpointer,
+// oscbench -shard, /v1/yield's shard/of fields) treat that as "my share
+// is complete" and assemble shards back into a full study with
+// cmd/oscmerge.
 package engine

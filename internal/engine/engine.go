@@ -1,10 +1,9 @@
 package engine
 
 import (
+	"context"
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"strings"
 
 	"repro/internal/parallel"
 )
@@ -13,20 +12,22 @@ import (
 // package comment for the determinism contract every implementation
 // must satisfy; conforming engines are interchangeable bit-for-bit.
 type Engine interface {
-	// Name identifies the engine in registries, flags and test output
-	// (the built-ins are "serial" and "parallel").
+	// Name identifies the engine in flags, logs and test output (the
+	// built-ins are "serial" and "parallel").
 	Name() string
 	// Workers reports the pool size the engine will use for n items
 	// (at least 1 for n > 0), so callers can size per-worker scratch
-	// before fanning out and pass the same count to ForWorker.
+	// before fanning out and pass the same count to Run.
 	Workers(n int) int
-	// For runs fn(i) for every i in [0, n) exactly once and returns
-	// after all calls complete.
-	For(n int, fn func(i int))
-	// ForWorker is For with a stable worker identity in [0, workers)
-	// for lock-free per-worker scratch; workers should come from
-	// Workers(n).
-	ForWorker(n, workers int, fn func(worker, i int))
+	// Run calls fn(worker, i) for every i in [0, n) exactly once and
+	// returns nil after all calls complete. worker is in
+	// [0, workers) and owned by one goroutine at a time; workers <= 0
+	// means Workers(n). A fired ctx stops dispatch at the next item
+	// boundary and returns its error; a panicking item stops dispatch
+	// and returns a *parallel.PanicError. On a non-nil error no item
+	// was interrupted mid-run and undispatched items were skipped. A
+	// nil ctx means context.Background().
+	Run(ctx context.Context, n, workers int, fn func(worker, i int)) error
 }
 
 // serialEngine is the in-order reference implementation: one
@@ -36,16 +37,19 @@ type serialEngine struct{}
 func (serialEngine) Name() string    { return "serial" }
 func (serialEngine) Workers(int) int { return 1 }
 
-func (serialEngine) For(n int, fn func(i int)) {
-	for i := 0; i < n; i++ {
-		fn(i)
+func (serialEngine) Run(ctx context.Context, n, _ int, fn func(worker, i int)) error {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-}
-
-func (serialEngine) ForWorker(n, _ int, fn func(worker, i int)) {
 	for i := 0; i < n; i++ {
-		fn(0, i)
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if pe := parallel.Capture(0, i, func() { fn(0, i) }); pe != nil {
+			return pe
+		}
 	}
+	return nil
 }
 
 // wordParallelEngine dispatches onto the internal/parallel worker
@@ -56,152 +60,70 @@ type wordParallelEngine struct{}
 func (wordParallelEngine) Name() string      { return "parallel" }
 func (wordParallelEngine) Workers(n int) int { return parallel.Workers(n) }
 
-func (wordParallelEngine) For(n int, fn func(i int)) {
-	parallel.For(n, fn)
+func (wordParallelEngine) Run(ctx context.Context, n, workers int, fn func(worker, i int)) error {
+	return parallel.Run(ctx, n, workers, fn)
 }
 
-func (wordParallelEngine) ForWorker(n, workers int, fn func(worker, i int)) {
-	parallel.ForWorker(n, workers, fn)
-}
-
-// The built-in engines. Serial is the reference oracle every XSerial
-// shim runs on; WordParallel carries the word-parallel production
-// paths and is the process default.
+// The built-in engines. Serial is the reference oracle tests compare
+// against; WordParallel carries the word-parallel production paths and
+// is what a nil figures.Config.Engine or serve.Config.Engine means.
 var (
 	Serial       Engine = serialEngine{}
 	WordParallel Engine = wordParallelEngine{}
 )
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Engine{
-		Serial.Name():       Serial,
-		WordParallel.Name(): WordParallel,
-	}
-)
+// builtins are the engines Get resolves, sorted by name.
+var builtins = []Engine{WordParallel, Serial}
 
-// Register adds an engine to the process registry under e.Name() so
-// Get can resolve it and enginetest.Run exercises it via All. It
-// rejects nil engines, empty names and duplicates.
-func Register(e Engine) error {
-	if e == nil {
-		return fmt.Errorf("engine: Register(nil)")
-	}
-	name := e.Name()
-	if name == "" {
-		return fmt.Errorf("engine: Register: empty engine name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		return fmt.Errorf("engine: Register: %q already registered", name)
-	}
-	registry[name] = e
-	return nil
-}
-
-// Get resolves a registered engine by name; unknown or empty names
+// Get resolves a built-in engine by name; unknown or empty names
 // error with the available choices.
 func Get(name string) (Engine, error) {
-	regMu.RLock()
-	e, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown engine %q (have %v)", name, Names())
+	for _, e := range builtins {
+		if e.Name() == name {
+			return e, nil
+		}
 	}
-	return e, nil
+	return nil, fmt.Errorf("engine: unknown engine %q (have %s)", name, strings.Join(Names(), ", "))
 }
 
-// Names lists the registered engine names, sorted.
+// Names lists the built-in engine names, sorted.
 func Names() []string {
-	regMu.RLock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
+	names := make([]string, len(builtins))
+	for i, e := range builtins {
+		names[i] = e.Name()
 	}
-	regMu.RUnlock()
-	sort.Strings(names)
 	return names
 }
 
-// All returns every registered engine, sorted by name — the set the
-// generic equivalence suite replays each path on.
-func All() []Engine {
-	names := Names()
-	engines := make([]Engine, 0, len(names))
-	regMu.RLock()
-	defer regMu.RUnlock()
-	for _, name := range names {
-		engines = append(engines, registry[name])
-	}
-	return engines
-}
-
-// defaultEngine holds the process default behind a pointer so
-// concurrent SetDefault/Default are race-free.
-var defaultEngine atomic.Pointer[Engine]
-
-func init() {
-	defaultEngine.Store(&WordParallel)
-}
-
-// Default returns the process-default engine (WordParallel unless
-// SetDefault changed it); the engine-less entry points (dse.Sweep,
-// transient.Trace, ...) all dispatch through it.
-func Default() Engine {
-	return *defaultEngine.Load()
-}
-
-// SetDefault replaces the process-default engine — what oscbench's
-// -engine flag does. It rejects nil.
-func SetDefault(e Engine) error {
-	if e == nil {
-		return fmt.Errorf("engine: SetDefault(nil)")
-	}
-	defaultEngine.Store(&e)
-	return nil
-}
-
-// Check validates an engine selection for error-returning entry
-// points: nil is reported, anything else passes.
+// Check is the one nil-engine rule: every engine-accepting entry point
+// reports a nil engine as an error.
 func Check(e Engine) error {
 	if e == nil {
-		return fmt.Errorf("engine: nil engine (use engine.Serial, engine.WordParallel or engine.Default())")
+		return fmt.Errorf("engine: nil engine (use engine.Serial or engine.WordParallel)")
 	}
 	return nil
-}
-
-// Use validates an engine selection for entry points with no error
-// return: it panics on nil with an actionable message (the precedent
-// set by core.Params.SpeedupVsElectronic) and returns e otherwise.
-func Use(e Engine) Engine {
-	if e == nil {
-		panic("engine: nil engine (use engine.Serial, engine.WordParallel or engine.Default())")
-	}
-	return e
 }
 
 // Chunked maps fn over the half-open ranges of a balanced partition
 // of [0, n): at most e.Workers(n) chunks, each at least minChunk
 // items (so cheap per-item work pays per-chunk dispatch overhead),
-// falling back to one inline chunk — the pure serial walk — when the
-// engine or the partition degenerates to a single range.
-func Chunked(e Engine, n, minChunk int, fn func(lo, hi int)) {
+// dispatched on e under ctx. On a one-worker engine, or when the
+// partition degenerates, the single chunk is the pure serial walk.
+func Chunked(ctx context.Context, e Engine, n, minChunk int, fn func(lo, hi int)) error {
+	if err := Check(e); err != nil {
+		return err
+	}
 	if n <= 0 {
-		return
+		return nil
 	}
 	if minChunk < 1 {
 		minChunk = 1
 	}
-	chunks := Use(e).Workers(n)
+	chunks := e.Workers(n)
 	if max := (n + minChunk - 1) / minChunk; chunks > max {
 		chunks = max
 	}
-	if chunks <= 1 {
-		fn(0, n)
-		return
-	}
-	e.For(chunks, func(c int) {
+	return e.Run(ctx, chunks, chunks, func(_, c int) {
 		fn(c*n/chunks, (c+1)*n/chunks)
 	})
 }

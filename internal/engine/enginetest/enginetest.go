@@ -1,13 +1,19 @@
 // Package enginetest is the single generic cross-engine equivalence
 // and GOMAXPROCS-determinism suite. Each package with engine-accepting
 // entry points registers one Case per entry point and calls Run once;
-// the suite replays every case on every registered engine (engine.All)
-// at GOMAXPROCS 1 and 4 and requires results deeply equal to the
-// engine.Serial reference. A new engine therefore inherits the full
-// equivalence battery by calling engine.Register — no per-path oracle
-// tests to re-write. The osclint oraclepair rule enforces the
-// registration side: every engine-accepting entry point must appear in
-// a test file that invokes Run.
+// the suite replays every case on every engine in Engines() — the
+// built-ins plus the fixture engines below — at GOMAXPROCS 1 and 4 and
+// requires results deeply equal to the engine.Serial reference. A new
+// engine inherits the full equivalence battery by joining Engines() —
+// no per-path oracle tests to re-write. The osclint oraclepair rule
+// enforces the registration side: every engine-accepting entry point
+// must appear in a test file that invokes Run.
+//
+// The fixture engines live here, not in internal/engine, so they never
+// reach a production engine list: Chaos injects deterministic faults,
+// ShardUnion recomposes a shard family, and the "limited" fixture is a
+// slot-starved engine.Limited. All three honor the determinism
+// contract and run the full suite.
 //
 // The package deliberately does not import testing, so Run can also be
 // driven by a recording TB — that is how its own teeth are proven:
@@ -17,6 +23,7 @@
 package enginetest
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"runtime"
@@ -48,14 +55,39 @@ type Case struct {
 // replays under: the degenerate single-proc pool and a contended one.
 var gomaxprocsLevels = []int{1, 4}
 
+// chaosSeed seeds the "chaos" fixture; fixed so every process
+// stresses the same schedule.
+const chaosSeed = 0x9E3779B97F4A7C15
+
+// Engines returns the engines the suites replay on, sorted by name:
+// the built-ins plus three contract-honoring fixtures. "chaos" injects
+// only recoverable faults (drop-then-retry reordering on a quarter of
+// the items plus rare tiny delays); "limited" caps the word-parallel
+// pool at 2 slots, proof that admission limiting never changes
+// results; "sharded" is a complete 3-way round-robin shard family
+// over the word-parallel engine, pinning that K shards reassemble
+// bit-identically to the Serial reference.
+func Engines() []engine.Engine {
+	return []engine.Engine{
+		NewChaos("chaos", engine.WordParallel, chaosSeed, ChaosSpec{
+			DropProb:  0.25,
+			DelayProb: 0.02,
+			Delay:     50 * time.Microsecond,
+		}),
+		engine.NewLimited("limited", engine.WordParallel, 2),
+		engine.WordParallel,
+		engine.Serial,
+		mustUnion("sharded", ShardsOf(engine.WordParallel, 3)...),
+	}
+}
+
 // Run replays every case on every engine at each GOMAXPROCS level and
 // reports divergence from the engine.Serial reference through t. A
-// nil engines slice means engine.All() — the standard call, so future
-// registered engines are picked up automatically.
+// nil engines slice means Engines() — the standard call.
 func Run(t TB, engines []engine.Engine, cases []Case) {
 	t.Helper()
 	if engines == nil {
-		engines = engine.All()
+		engines = Engines()
 	}
 	for _, c := range cases {
 		if c.Name == "" || c.Eval == nil {
@@ -95,8 +127,7 @@ func evalAt(procs int, e engine.Engine, eval func(engine.Engine) (any, error)) (
 const chaosSuiteSeed = 0xA24BAED4963EE407
 
 // RunChaos is the adversarial counterpart of Run: it replays every
-// case on every engine wrapped in fault-injecting engine.Chaos
-// instances and asserts the repo's two robustness invariants hold
+// case on every engine wrapped in fault-injecting Chaos instances and asserts the repo's two robustness invariants hold
 // under attack.
 //
 //  1. Recovery: with recoverable faults only (half the items dropped
@@ -106,16 +137,16 @@ const chaosSuiteSeed = 0xA24BAED4963EE407
 //  2. Typed failure: with a panic injected at item 0, the case must
 //     fail loudly and typed — either a panic carrying a
 //     *parallel.PanicError or a returned error wrapping one, with the
-//     injected engine.ChaosPanic reachable via errors.As. An engine
+//     injected ChaosPanic reachable via errors.As. An engine
 //     (or entry point) that swallows the fault and returns a result
 //     anyway fails the suite.
 //
-// A nil engines slice means engine.All(). Like Run, it takes the TB
+// A nil engines slice means Engines(). Like Run, it takes the TB
 // surface so a recording TB can prove the suite's own teeth.
 func RunChaos(t TB, engines []engine.Engine, cases []Case) {
 	t.Helper()
 	if engines == nil {
-		engines = engine.All()
+		engines = Engines()
 	}
 	for _, c := range cases {
 		if c.Name == "" || c.Eval == nil {
@@ -128,7 +159,7 @@ func RunChaos(t TB, engines []engine.Engine, cases []Case) {
 			continue
 		}
 		for _, e := range engines {
-			recov := engine.NewChaos("chaos-recover("+e.Name()+")", e, chaosSuiteSeed, engine.ChaosSpec{
+			recov := NewChaos("chaos-recover("+e.Name()+")", e, chaosSuiteSeed, ChaosSpec{
 				DropProb:  0.5,
 				DelayProb: 0.02,
 				Delay:     20 * time.Microsecond,
@@ -142,7 +173,7 @@ func RunChaos(t TB, engines []engine.Engine, cases []Case) {
 					c.Name, e.Name(), got, ref)
 			}
 
-			boom := engine.NewChaos("chaos-panic("+e.Name()+")", e, chaosSuiteSeed, engine.ChaosSpec{
+			boom := NewChaos("chaos-panic("+e.Name()+")", e, chaosSuiteSeed, ChaosSpec{
 				DropProb: 0.25,
 				Panic:    true,
 				PanicAt:  0,
@@ -154,11 +185,11 @@ func RunChaos(t TB, engines []engine.Engine, cases []Case) {
 				if !ok {
 					t.Errorf("enginetest: %s: engine %q re-raised an untyped panic %v (%T), want *parallel.PanicError",
 						c.Name, e.Name(), recovered, recovered)
-				} else if !errors.As(pe, new(engine.ChaosPanic)) {
+				} else if !errors.As(pe, new(ChaosPanic)) {
 					t.Errorf("enginetest: %s: engine %q lost the injected fault under the panic: %v", c.Name, e.Name(), pe)
 				}
 			case err != nil:
-				if !errors.As(err, new(engine.ChaosPanic)) {
+				if !errors.As(err, new(ChaosPanic)) {
 					t.Errorf("enginetest: %s: engine %q returned an error not wrapping the injected fault: %v",
 						c.Name, e.Name(), err)
 				}
@@ -181,7 +212,7 @@ func probe(e engine.Engine, eval func(engine.Engine) (any, error)) (err error, r
 // Lossy is a deliberately broken Engine: it drops the final index of
 // every fan-out — the deterministic stand-in for the work a racy
 // engine loses. It exists so tests can prove Run has teeth (see
-// TestSuiteCatchesLossyEngine) and is not in the registry.
+// TestSuiteCatchesLossyEngine) and is not in Engines().
 var Lossy engine.Engine = lossyEngine{}
 
 type lossyEngine struct{}
@@ -189,26 +220,8 @@ type lossyEngine struct{}
 func (lossyEngine) Name() string    { return "lossy" }
 func (lossyEngine) Workers(int) int { return 1 }
 
-func (lossyEngine) For(n int, fn func(i int)) {
-	for i := 0; i < n-1; i++ {
-		fn(i)
-	}
-}
-
-func (lossyEngine) ForWorker(n, _ int, fn func(worker, i int)) {
-	for i := 0; i < n-1; i++ {
-		fn(0, i)
-	}
-}
-
-// mustUnion builds a shard union for the fixture engines below; the
-// specs are static, so a constructor error is a programming bug.
-func mustUnion(name string, shards ...engine.Shard) engine.Engine {
-	u, err := engine.NewShardUnion(name, shards...)
-	if err != nil {
-		panic(err)
-	}
-	return u
+func (lossyEngine) Run(ctx context.Context, n, workers int, fn func(worker, i int)) error {
+	return engine.Serial.Run(ctx, n-1, workers, fn)
 }
 
 // GappedShards is a deliberately incomplete shard composition: shards
@@ -216,7 +229,7 @@ func mustUnion(name string, shards ...engine.Shard) engine.Engine {
 // that never ran (or a merge that accepted a gap). Indices owned by
 // the missing shard stay zero-valued, so Run must flag it — the same
 // divergence oscmerge's missing-index check fails closed on. Not in
-// the registry; see TestSuiteCatchesGappedShards.
+// Engines(); see TestSuiteCatchesGappedShards.
 var GappedShards engine.Engine = mustUnion("gapped-shards",
 	engine.Shard{K: 0, N: 3, Inner: engine.Serial},
 	engine.Shard{K: 2, N: 3, Inner: engine.Serial},
@@ -226,7 +239,7 @@ var GappedShards engine.Engine = mustUnion("gapped-shards",
 // appears twice, so its indices run twice — the double-execution a
 // merge of overlapping-but-disagreeing checkpoints would paper over.
 // Any case that accumulates (the worker-scratch pattern) diverges, so
-// Run must flag it. Not in the registry; see
+// Run must flag it. Not in Engines(); see
 // TestSuiteCatchesOverlappingShards.
 var OverlapShards engine.Engine = mustUnion("overlap-shards",
 	engine.Shard{K: 0, N: 3, Inner: engine.Serial},
@@ -239,7 +252,7 @@ var OverlapShards engine.Engine = mustUnion("overlap-shards",
 // discards any panic a work item raises, then carries on — the
 // anti-pattern the panic-propagation contract forbids (a fault
 // silently becomes missing work). RunChaos must flag it (see
-// TestChaosSuiteCatchesSwallowedPanics); it is not in the registry.
+// TestChaosSuiteCatchesSwallowedPanics); it is not in Engines().
 var Swallow engine.Engine = swallowEngine{}
 
 type swallowEngine struct{}
@@ -247,19 +260,12 @@ type swallowEngine struct{}
 func (swallowEngine) Name() string    { return "swallow" }
 func (swallowEngine) Workers(int) int { return 1 }
 
-func (swallowEngine) For(n int, fn func(i int)) {
+func (swallowEngine) Run(_ context.Context, n, _ int, fn func(worker, i int)) error {
 	for i := 0; i < n; i++ {
-		swallowOne(func() { fn(i) })
+		func() {
+			defer func() { _ = recover() }()
+			fn(0, i)
+		}()
 	}
-}
-
-func (swallowEngine) ForWorker(n, _ int, fn func(worker, i int)) {
-	for i := 0; i < n; i++ {
-		swallowOne(func() { fn(0, i) })
-	}
-}
-
-func swallowOne(fn func()) {
-	defer func() { _ = recover() }()
-	fn()
+	return nil
 }

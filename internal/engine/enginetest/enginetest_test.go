@@ -1,6 +1,7 @@
 package enginetest
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -11,17 +12,17 @@ import (
 
 // suiteCases is a miniature but representative workload: an indexed
 // fan-out with per-index derived seeds and index-ordered aggregation,
-// via both For and ForWorker.
+// and a per-worker scratch reduction.
 func suiteCases() []Case {
 	return []Case{
 		{
 			Name: "derived-seed-sweep",
 			Eval: func(e engine.Engine) (any, error) {
 				out := make([]uint64, 9)
-				e.For(len(out), func(i int) {
+				err := e.Run(context.Background(), len(out), 0, func(_, i int) {
 					out[i] = stochastic.DeriveSeed(7, i)
 				})
-				return out, nil
+				return out, err
 			},
 		},
 		{
@@ -30,14 +31,14 @@ func suiteCases() []Case {
 				const n = 33
 				workers := e.Workers(n)
 				partial := make([]float64, workers)
-				e.ForWorker(n, workers, func(w, i int) {
+				err := e.Run(context.Background(), n, workers, func(w, i int) {
 					partial[w] += float64(i * i)
 				})
 				var sum float64
 				for _, p := range partial {
 					sum += p
 				}
-				return sum, nil
+				return sum, err
 			},
 		},
 	}
@@ -57,7 +58,7 @@ func (r *recorder) Errorf(format string, args ...any) {
 	r.failures = append(r.failures, fmt.Sprintf(format, args...))
 }
 
-// TestBuiltinEnginesPassSuite: both registered engines reproduce the
+// TestBuiltinEnginesPassSuite: every engine in Engines() reproduces the
 // serial reference on the miniature workload — the suite run every
 // evaluated package repeats with its real entry points.
 func TestBuiltinEnginesPassSuite(t *testing.T) {
@@ -127,8 +128,8 @@ func TestSuiteCatchesOverlappingShards(t *testing.T) {
 	}
 }
 
-// TestRegisteredEnginesPassChaosSuite: every registered engine (the
-// built-ins plus the registered chaos wrapper) recovers bit-identically
+// TestRegisteredEnginesPassChaosSuite: every engine in Engines() (the
+// built-ins plus the fixtures) recovers bit-identically
 // from drop/delay faults and fails typed under injected panics.
 func TestRegisteredEnginesPassChaosSuite(t *testing.T) {
 	RunChaos(t, nil, suiteCases())

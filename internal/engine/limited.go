@@ -16,6 +16,11 @@ import (
 // once with the same derived seeds, so a Limited engine satisfies the
 // full determinism contract and passes the generic enginetest suite
 // (its results are bit-identical to engine.Serial).
+//
+// A work item must not dispatch on the Limited engine it runs on: it
+// would hold a slot while its inner items wait for one, and once every
+// slot is held that way the engine deadlocks. Nested sweeps run on
+// engine.Serial (see the package comment).
 type Limited struct {
 	name  string
 	inner Engine
@@ -23,13 +28,16 @@ type Limited struct {
 }
 
 // NewLimited wraps inner behind a semaphore of `slots` concurrently
-// running items. A nil inner or slots < 1 panics (engine misuse, like
-// Use).
+// running items. A nil inner or slots < 1 panics: both are
+// construction-time programming errors, not dispatch failures.
 func NewLimited(name string, inner Engine, slots int) *Limited {
+	if err := Check(inner); err != nil {
+		panic(err.Error())
+	}
 	if slots < 1 {
 		panic("engine: NewLimited needs slots >= 1")
 	}
-	return &Limited{name: name, inner: Use(inner), slots: make(chan struct{}, slots)}
+	return &Limited{name: name, inner: inner, slots: make(chan struct{}, slots)}
 }
 
 // Name implements Engine.
@@ -52,73 +60,30 @@ func (l *Limited) Slots() int { return cap(l.slots) }
 // service health endpoint surfaces as dispatch load.
 func (l *Limited) InFlight() int { return len(l.slots) }
 
-// run executes one item inside a slot, releasing it even when the
-// item panics so a fault never leaks semaphore capacity.
-func (l *Limited) run(fn func()) {
-	l.slots <- struct{}{}
-	defer func() { <-l.slots }()
-	fn()
-}
-
-// For implements Engine.
-func (l *Limited) For(n int, fn func(i int)) {
-	l.inner.For(n, func(i int) { l.run(func() { fn(i) }) })
-}
-
-// ForWorker implements Engine.
-func (l *Limited) ForWorker(n, workers int, fn func(worker, i int)) {
-	l.inner.ForWorker(n, workers, func(w, i int) { l.run(func() { fn(w, i) }) })
-}
-
-// ForCtx implements CtxEngine. Cancellation is observed both by the
-// inner engine's own handout and while waiting for a slot, so a
-// saturated semaphore cannot outlive the caller's deadline. An item
-// skipped at the slot wait is reported through the returned error —
-// the inner dispatch may have walked past it, but ForCtx never
-// returns nil with work undone.
-func (l *Limited) ForCtx(ctx context.Context, n int, fn func(i int)) error {
-	var skipped atomic.Bool
-	err := ForCtx(ctx, l.inner, n, func(i int) { l.runCtx(ctx, &skipped, func() { fn(i) }) })
-	if err == nil && skipped.Load() {
-		err = ctx.Err()
-	}
-	return err
-}
-
-// ForWorkerCtx implements CtxEngine.
-func (l *Limited) ForWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int)) error {
-	var skipped atomic.Bool
-	err := ForWorkerCtx(ctx, l.inner, n, workers, func(w, i int) { l.runCtx(ctx, &skipped, func() { fn(w, i) }) })
-	if err == nil && skipped.Load() {
-		err = ctx.Err()
-	}
-	return err
-}
-
-func init() {
-	// A shared registered instance with a deliberately tight cap, so
-	// every package's enginetest suite replays on a slot-starved
-	// dispatch — proof that admission limiting never changes results.
-	if err := Register(NewLimited("limited", WordParallel, 2)); err != nil {
-		panic(err)
-	}
-}
-
-// runCtx is run with a cancellable slot acquisition: when the context
-// fires before a slot frees, the item is skipped and flagged so the
-// dispatch reports the cancellation instead of success — a skipped
-// item is never silently treated as done.
-func (l *Limited) runCtx(ctx context.Context, skipped *atomic.Bool, fn func()) {
+// Run implements Engine. Cancellation is observed both by the inner
+// engine's own handout and while waiting for a slot, so a saturated
+// semaphore cannot outlive the caller's deadline. An item skipped at
+// the slot wait is reported through the returned error — the inner
+// dispatch may have walked past it, but Run never returns nil with
+// work undone. A slot is released even when its item panics, so a
+// fault never leaks semaphore capacity.
+func (l *Limited) Run(ctx context.Context, n, workers int, fn func(worker, i int)) error {
 	if ctx == nil {
-		l.run(fn)
-		return
+		ctx = context.Background()
 	}
-	select {
-	case l.slots <- struct{}{}:
-	case <-ctx.Done():
-		skipped.Store(true)
-		return
+	var skipped atomic.Bool
+	err := l.inner.Run(ctx, n, workers, func(w, i int) {
+		select {
+		case l.slots <- struct{}{}:
+		case <-ctx.Done():
+			skipped.Store(true)
+			return
+		}
+		defer func() { <-l.slots }()
+		fn(w, i)
+	})
+	if err == nil && skipped.Load() {
+		err = ctx.Err()
 	}
-	defer func() { <-l.slots }()
-	fn()
+	return err
 }

@@ -5,26 +5,25 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // TestLimitedRunsEveryIndexOnce: the semaphore changes scheduling
-// only — every index still runs exactly once, on both dispatch faces.
+// only — every index still runs exactly once, at the default and an
+// explicit worker count.
 func TestLimitedRunsEveryIndexOnce(t *testing.T) {
 	l := NewLimited("t", WordParallel, 2)
 	const n = 64
-	var counts [n]atomic.Int32
-	l.For(n, func(i int) { counts[i].Add(1) })
-	for i := range counts {
-		if got := counts[i].Load(); got != 1 {
-			t.Fatalf("For: index %d ran %d times, want 1", i, got)
+	for _, w := range []int{0, l.Workers(n)} {
+		var counts [n]atomic.Int32
+		if err := l.Run(context.Background(), n, w, func(_, i int) { counts[i].Add(1) }); err != nil {
+			t.Fatal(err)
 		}
-		counts[i].Store(0)
-	}
-	w := l.Workers(n)
-	l.ForWorker(n, w, func(_, i int) { counts[i].Add(1) })
-	for i := range counts {
-		if got := counts[i].Load(); got != 1 {
-			t.Fatalf("ForWorker: index %d ran %d times, want 1", i, got)
+		for i := range counts {
+			if got := counts[i].Load(); got != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times, want 1", w, i, got)
+			}
 		}
 	}
 }
@@ -35,7 +34,7 @@ func TestLimitedCapsConcurrency(t *testing.T) {
 	const slots = 2
 	l := NewLimited("t", WordParallel, slots)
 	var cur, peak atomic.Int32
-	l.For(128, func(int) {
+	err := l.Run(context.Background(), 128, 0, func(int, int) {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -45,6 +44,9 @@ func TestLimitedCapsConcurrency(t *testing.T) {
 		}
 		cur.Add(-1)
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p := peak.Load(); p > slots {
 		t.Fatalf("peak concurrency %d exceeds the %d-slot cap", p, slots)
 	}
@@ -66,25 +68,21 @@ func TestLimitedWorkersCappedBySlots(t *testing.T) {
 }
 
 // TestLimitedReleasesSlotOnPanic: a panicking item must not leak
-// semaphore capacity; the panic itself still propagates typed.
+// semaphore capacity; the panic itself still surfaces typed.
 func TestLimitedReleasesSlotOnPanic(t *testing.T) {
 	l := NewLimited("t", Serial, 1)
-	func() {
-		defer func() {
-			if r := recover(); r == nil {
-				t.Fatal("panic did not propagate through Limited")
-			}
-		}()
-		l.For(1, func(int) { panic("boom") })
-	}()
+	err := l.Run(context.Background(), 1, 0, func(int, int) { panic("boom") })
+	var pe *parallel.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("panic through Limited returned %v, want *parallel.PanicError", err)
+	}
 	if in := l.InFlight(); in != 0 {
 		t.Fatalf("InFlight() = %d after a panic, want 0 (leaked slot)", in)
 	}
 	// The freed slot must still be usable.
 	ran := false
-	l.For(1, func(int) { ran = true })
-	if !ran {
-		t.Fatal("dispatch after a panic did not run")
+	if err := l.Run(context.Background(), 1, 0, func(int, int) { ran = true }); err != nil || !ran {
+		t.Fatalf("dispatch after a panic: err=%v ran=%v", err, ran)
 	}
 }
 
@@ -98,7 +96,7 @@ func TestLimitedCtxCancelWhileSaturated(t *testing.T) {
 	holderDone := make(chan struct{})
 	go func() {
 		defer close(holderDone)
-		l.For(1, func(int) { close(started); <-block })
+		_ = l.Run(context.Background(), 1, 0, func(int, int) { close(started); <-block })
 	}()
 	<-started
 
@@ -106,12 +104,12 @@ func TestLimitedCtxCancelWhileSaturated(t *testing.T) {
 	errCh := make(chan error, 1)
 	ran := make(chan struct{}, 1)
 	go func() {
-		errCh <- l.ForCtx(ctx, 1, func(int) { ran <- struct{}{} })
+		errCh <- l.Run(ctx, 1, 0, func(int, int) { ran <- struct{}{} })
 	}()
 	cancel()
 	err := <-errCh
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("ForCtx under a held slot returned %v, want context.Canceled", err)
+		t.Fatalf("Run under a held slot returned %v, want context.Canceled", err)
 	}
 	select {
 	case <-ran:
@@ -137,24 +135,5 @@ func TestLimitedMisuse(t *testing.T) {
 			}()
 			build()
 		}()
-	}
-}
-
-// TestLimitedRegistered: the shared "limited" instance is in the
-// registry, so every package's enginetest suite replays on it.
-func TestLimitedRegistered(t *testing.T) {
-	e, err := Get("limited")
-	if err != nil {
-		t.Fatalf("Get(limited): %v", err)
-	}
-	l, ok := e.(*Limited)
-	if !ok {
-		t.Fatalf("registered limited engine is %T, want *Limited", e)
-	}
-	if l.Slots() < 1 {
-		t.Fatalf("registered limited engine has %d slots", l.Slots())
-	}
-	if _, ok := e.(CtxEngine); !ok {
-		t.Fatal("*Limited does not implement CtxEngine")
 	}
 }

@@ -9,24 +9,19 @@ import (
 	"repro/internal/parallel"
 )
 
-// TestBuiltinsImplementCtxEngine: both built-ins expose native ctx
-// dispatch, so the package adapters never fall back to polling for
-// them.
-func TestBuiltinsImplementCtxEngine(t *testing.T) {
-	for _, e := range []Engine{Serial, WordParallel} {
-		if _, ok := e.(CtxEngine); !ok {
-			t.Errorf("%s does not implement CtxEngine", e.Name())
-		}
-	}
+// builtins and the engines composed from them here, for the dispatch
+// contract tests below.
+func contractEngines() []Engine {
+	return []Engine{Serial, WordParallel, NewLimited("limited", WordParallel, 2), Shard{K: 0, N: 1, Inner: WordParallel}}
 }
 
 // TestForCtxCompletes: with a live context every index runs exactly
-// once on every registered engine, and the error is nil.
+// once on every engine, and the error is nil.
 func TestForCtxCompletes(t *testing.T) {
-	for _, e := range All() {
+	for _, e := range contractEngines() {
 		const n = 97
 		visits := make([]int32, n)
-		if err := ForCtx(context.Background(), e, n, func(i int) {
+		if err := e.Run(context.Background(), n, 0, func(_, i int) {
 			atomic.AddInt32(&visits[i], 1)
 		}); err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
@@ -40,12 +35,12 @@ func TestForCtxCompletes(t *testing.T) {
 }
 
 // TestForCtxPreCanceled: a dead-on-arrival context runs nothing and
-// surfaces context.Canceled from every registered engine.
+// surfaces context.Canceled from every engine.
 func TestForCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, e := range All() {
-		err := ForCtx(ctx, e, 50, func(i int) {
+	for _, e := range contractEngines() {
+		err := e.Run(ctx, 50, 0, func(_, i int) {
 			t.Errorf("%s ran item %d under a canceled ctx", e.Name(), i)
 		})
 		if !errors.Is(err, context.Canceled) {
@@ -61,7 +56,7 @@ func TestForCtxCancelMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran int32
-	err := ForCtx(ctx, Serial, 100, func(i int) {
+	err := Serial.Run(ctx, 100, 1, func(_, i int) {
 		atomic.AddInt32(&ran, 1)
 		if i == 10 {
 			cancel()
@@ -75,96 +70,30 @@ func TestForCtxCancelMidSweep(t *testing.T) {
 	}
 }
 
-// TestForCtxNilEngine: the adapters report a nil engine instead of
-// panicking, matching Check.
+// TestForCtxNilEngine: the Partial helper reports a nil engine
+// instead of panicking, matching Check.
 func TestForCtxNilEngine(t *testing.T) {
-	if err := ForCtx(context.Background(), nil, 4, func(int) {}); err == nil {
-		t.Error("ForCtx(nil engine) accepted")
-	}
-	if err := ForWorkerCtx(context.Background(), nil, 4, 1, func(_, _ int) {}); err == nil {
-		t.Error("ForWorkerCtx(nil engine) accepted")
+	if err := RunPartial(context.Background(), nil, 4, func(int) {}); err == nil {
+		t.Error("RunPartial(nil engine) accepted")
 	}
 }
 
-// plainEngine deliberately does not implement CtxEngine, forcing the
-// package adapters down the polling path.
-type plainEngine struct{}
-
-func (plainEngine) Name() string    { return "plain-test" }
-func (plainEngine) Workers(int) int { return 1 }
-func (plainEngine) For(n int, fn func(i int)) {
-	for i := 0; i < n; i++ {
-		fn(i)
-	}
-}
-func (plainEngine) ForWorker(n, _ int, fn func(worker, i int)) {
-	for i := 0; i < n; i++ {
-		fn(0, i)
-	}
-}
-
-// TestAdapterOnPlainEngine: an engine without ctx support still honors
-// cancellation at item boundaries and converts panics to typed errors
-// through the generic adapter.
-func TestAdapterOnPlainEngine(t *testing.T) {
-	if _, ok := Engine(plainEngine{}).(CtxEngine); ok {
-		t.Fatal("fixture engine unexpectedly implements CtxEngine")
-	}
-
-	// Completion.
-	var ran int32
-	if err := ForCtx(context.Background(), plainEngine{}, 20, func(i int) {
-		atomic.AddInt32(&ran, 1)
-	}); err != nil || ran != 20 {
-		t.Fatalf("complete: err=%v ran=%d", err, ran)
-	}
-
-	// Cancellation mid-sweep skips the tail.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ran = 0
-	err := ForCtx(ctx, plainEngine{}, 100, func(i int) {
-		atomic.AddInt32(&ran, 1)
-		if i == 5 {
-			cancel()
-		}
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancel: err = %v", err)
-	}
-	if ran != 6 {
-		t.Errorf("adapter ran %d items after cancel at 5, want 6", ran)
-	}
-
-	// Panic conversion with index attribution.
-	err = ForWorkerCtx(context.Background(), plainEngine{}, 10, 1, func(w, i int) {
-		if i == 7 {
-			panic("adapter fault")
-		}
-	})
-	var pe *parallel.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("panic: err = %v (%T), want *parallel.PanicError", err, err)
-	}
-	if pe.Index != 7 {
-		t.Errorf("panic attributed to index %d, want 7", pe.Index)
-	}
-}
-
-// TestRunCtxComplete: a full run returns nil and fills the completion
-// bitmap; a mis-sized bitmap is rejected.
+// TestRunCtxComplete: a full run returns nil after running every
+// index exactly once; an empty or negative range runs nothing.
 func TestRunCtxComplete(t *testing.T) {
-	done := make([]bool, 30)
-	if err := RunCtx(context.Background(), WordParallel, 30, done, func(i int) {}); err != nil {
-		t.Fatalf("RunCtx: %v", err)
+	var visits [30]int32
+	if err := RunPartial(context.Background(), WordParallel, 30, func(i int) { atomic.AddInt32(&visits[i], 1) }); err != nil {
+		t.Fatalf("RunPartial: %v", err)
 	}
-	for i, d := range done {
-		if !d {
-			t.Fatalf("index %d not marked done", i)
+	for i, v := range visits {
+		if v != 1 {
+			t.Fatalf("index %d ran %d times", i, v)
 		}
 	}
-	if err := RunCtx(context.Background(), Serial, 30, make([]bool, 7), func(i int) {}); err == nil {
-		t.Error("mis-sized done bitmap accepted")
+	for _, n := range []int{0, -2} {
+		if err := RunPartial(context.Background(), Serial, n, func(i int) { t.Errorf("n=%d ran %d", n, i) }); err != nil {
+			t.Errorf("RunPartial(n=%d) = %v", n, err)
+		}
 	}
 }
 
@@ -175,7 +104,7 @@ func TestRunCtxPartialOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran [100]int32
-	err := RunCtx(ctx, Serial, 100, nil, func(i int) {
+	err := RunPartial(ctx, Serial, 100, func(i int) {
 		atomic.AddInt32(&ran[i], 1)
 		if i == 20 {
 			cancel()
@@ -205,7 +134,7 @@ func TestRunCtxPartialOnCancel(t *testing.T) {
 // *Partial wrapping the *parallel.PanicError that names the failing
 // index — the typed-error half of the acceptance criteria.
 func TestRunCtxPartialOnPanic(t *testing.T) {
-	err := RunCtx(context.Background(), WordParallel, 64, nil, func(i int) {
+	err := RunPartial(context.Background(), WordParallel, 64, func(i int) {
 		if i == 33 {
 			panic("die fault")
 		}
@@ -232,16 +161,18 @@ func TestRunCtxPartialOnPanic(t *testing.T) {
 func TestChunkedEdgeCases(t *testing.T) {
 	// n == 0 (and negative): no chunks at all.
 	for _, n := range []int{0, -3} {
-		Chunked(WordParallel, n, 8, func(lo, hi int) {
+		if err := Chunked(context.Background(), WordParallel, n, 8, func(lo, hi int) {
 			t.Errorf("Chunked(n=%d) ran chunk [%d, %d)", n, lo, hi)
-		})
+		}); err != nil {
+			t.Errorf("Chunked(n=%d) = %v", n, err)
+		}
 	}
 
 	check := func(name string, e Engine, n, minChunk, wantChunks int) {
 		t.Helper()
 		covered := make([]int32, n)
 		var chunks, single int32
-		Chunked(e, n, minChunk, func(lo, hi int) {
+		err := Chunked(context.Background(), e, n, minChunk, func(lo, hi int) {
 			atomic.AddInt32(&chunks, 1)
 			if hi-lo == 1 {
 				atomic.AddInt32(&single, 1)
@@ -258,6 +189,9 @@ func TestChunkedEdgeCases(t *testing.T) {
 				t.Errorf("%s: chunk [%d, %d) below minChunk %d", name, lo, hi, minChunk)
 			}
 		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		for i := range covered {
 			if covered[i] != 1 {
 				t.Fatalf("%s: index %d covered %d times", name, i, covered[i])
@@ -268,7 +202,7 @@ func TestChunkedEdgeCases(t *testing.T) {
 		}
 	}
 
-	// n < minChunk: collapses to the single inline chunk.
+	// n < minChunk: collapses to a single chunk.
 	check("n<minChunk", WordParallel, 5, 64, 1)
 	// Chunk size not dividing n: 10 items, minChunk 3 → at most
 	// ceil(10/3)=4 chunks (bounded also by workers), covering exactly.
@@ -278,12 +212,14 @@ func TestChunkedEdgeCases(t *testing.T) {
 	// serial engine it is one chunk of n.
 	if WordParallel.Workers(2) >= 2 {
 		covered := make([]int32, 2)
-		Chunked(WordParallel, 2, 1, func(lo, hi int) {
+		if err := Chunked(context.Background(), WordParallel, 2, 1, func(lo, hi int) {
 			atomic.AddInt32(&covered[lo], 1)
 			if hi-lo != 1 {
 				t.Errorf("chunk [%d, %d), want single-item", lo, hi)
 			}
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		for i := range covered {
 			if covered[i] != 1 {
 				t.Errorf("single-item: index %d covered %d times", i, covered[i])

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 )
 
@@ -54,34 +55,27 @@ func TestShardOwnsRejectsOutOfRange(t *testing.T) {
 	}
 }
 
-// TestShardForRunsOwnedIndicesOnce: For and ForWorker run exactly the
-// owned indices, exactly once, and leave the rest untouched.
+// TestShardForRunsOwnedIndicesOnce: Run runs exactly the owned
+// indices, exactly once, leaves the rest untouched and reports them as
+// ErrShardRemainder.
 func TestShardForRunsOwnedIndicesOnce(t *testing.T) {
 	const n = 20
 	for _, contiguous := range []bool{false, true} {
 		sh := Shard{K: 1, N: 3, Contiguous: contiguous, Inner: WordParallel}
-		counts := make([]int, n)
-		sh.For(n, func(i int) { counts[i]++ })
-		for i, c := range counts {
-			want := 0
-			if sh.Owns(i, n) {
-				want = 1
+		for _, w := range []int{0, sh.Workers(n)} {
+			var counts [n]atomic.Int32
+			err := sh.Run(context.Background(), n, w, func(_, i int) { counts[i].Add(1) })
+			if !errors.Is(err, ErrShardRemainder) {
+				t.Errorf("contiguous=%v workers=%d: Run = %v, want ErrShardRemainder", contiguous, w, err)
 			}
-			if c != want {
-				t.Errorf("contiguous=%v For: index %d ran %d times, want %d", contiguous, i, c, want)
-			}
-		}
-
-		counts = make([]int, n)
-		w := sh.Workers(n)
-		sh.ForWorker(n, w, func(_, i int) { counts[i]++ })
-		for i, c := range counts {
-			want := 0
-			if sh.Owns(i, n) {
-				want = 1
-			}
-			if c != want {
-				t.Errorf("contiguous=%v ForWorker: index %d ran %d times, want %d", contiguous, i, c, want)
+			for i := range counts {
+				want := int32(0)
+				if sh.Owns(i, n) {
+					want = 1
+				}
+				if c := counts[i].Load(); c != want {
+					t.Errorf("contiguous=%v workers=%d: index %d ran %d times, want %d", contiguous, w, i, c, want)
+				}
 			}
 		}
 	}
@@ -112,32 +106,35 @@ func TestShardValidate(t *testing.T) {
 	}
 }
 
-// TestShardForPanicsOnInvalidSpec: the no-error dispatch faces treat a
-// malformed spec as misuse, like Use does for a nil engine.
+// TestShardForPanicsOnInvalidSpec: a malformed spec is a returned
+// error, never a panic — and never a silent run of the wrong slice.
 func TestShardForPanicsOnInvalidSpec(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("For on an invalid shard did not panic")
+	for _, sh := range []Shard{{K: 3, N: 3, Inner: Serial}, {K: 0, N: 2}} {
+		err := sh.Run(context.Background(), 4, 0, func(int, int) { t.Errorf("%s ran an item", sh.Name()) })
+		if err == nil || errors.Is(err, ErrShardRemainder) {
+			t.Errorf("%s: Run = %v, want a validation error", sh.Name(), err)
 		}
-	}()
-	Shard{K: 3, N: 3, Inner: Serial}.For(4, func(int) {})
+		if w := sh.Workers(4); w != 1 {
+			t.Errorf("%s: Workers(4) = %d, want 1", sh.Name(), w)
+		}
+	}
 }
 
 // TestShardForCtxReportsRemainderAsPartial: the ctx face reports the
-// skipped non-owned indices through RunCtx as a *Partial wrapping
+// skipped non-owned indices through RunPartial as a *Partial wrapping
 // ErrShardRemainder, with the Done bitmap marking exactly the owned
 // indices — the contract the checkpoint and merge layers build on.
 func TestShardForCtxReportsRemainderAsPartial(t *testing.T) {
 	const n = 10
 	sh := Shard{K: 2, N: 3, Inner: WordParallel}
 	got := make([]int, n)
-	err := RunCtx(context.Background(), sh, n, nil, func(i int) { got[i] = i + 1 })
+	err := RunPartial(context.Background(), sh, n, func(i int) { got[i] = i + 1 })
 	var p *Partial
 	if !errors.As(err, &p) {
-		t.Fatalf("RunCtx error = %v, want *Partial", err)
+		t.Fatalf("RunPartial error = %v, want *Partial", err)
 	}
 	if !errors.Is(err, ErrShardRemainder) {
-		t.Fatalf("RunCtx error = %v, want to wrap ErrShardRemainder", err)
+		t.Fatalf("RunPartial error = %v, want to wrap ErrShardRemainder", err)
 	}
 	owned := 0
 	for i := 0; i < n; i++ {
@@ -165,8 +162,8 @@ func TestShardForCtxReportsRemainderAsPartial(t *testing.T) {
 func TestShardForCtxFullCoverageSucceeds(t *testing.T) {
 	sh := Shard{K: 0, N: 1, Inner: Serial}
 	ran := 0
-	if err := sh.ForCtx(context.Background(), 5, func(int) { ran++ }); err != nil {
-		t.Fatalf("ForCtx = %v, want nil", err)
+	if err := sh.Run(context.Background(), 5, 0, func(int, int) { ran++ }); err != nil {
+		t.Fatalf("Run = %v, want nil", err)
 	}
 	if ran != 5 {
 		t.Fatalf("ran %d items, want 5", ran)
@@ -179,21 +176,21 @@ func TestShardForCtxPropagatesCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sh := Shard{K: 0, N: 2, Inner: Serial}
-	err := sh.ForCtx(ctx, 8, func(int) {})
+	err := sh.Run(ctx, 8, 0, func(int, int) {})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("ForCtx on cancelled ctx = %v, want context.Canceled", err)
+		t.Fatalf("Run on cancelled ctx = %v, want context.Canceled", err)
 	}
 	if errors.Is(err, ErrShardRemainder) {
 		t.Fatal("cancellation must not masquerade as a shard remainder")
 	}
 }
 
-// TestShardForCtxInvalidSpecReturnsError: the ctx faces return the
-// validation error instead of panicking, so the CLI path fails typed.
+// TestShardForCtxInvalidSpecReturnsError: the Partial helper surfaces
+// the validation error, so the CLI path fails typed.
 func TestShardForCtxInvalidSpecReturnsError(t *testing.T) {
 	sh := Shard{K: -1, N: 2, Inner: Serial}
-	if err := sh.ForCtx(context.Background(), 4, func(int) {}); err == nil {
-		t.Fatal("ForCtx on an invalid shard returned nil error")
+	if err := RunPartial(context.Background(), sh, 4, func(int) {}); err == nil || errors.Is(err, ErrShardRemainder) {
+		t.Fatalf("RunPartial on an invalid shard = %v, want a validation error", err)
 	}
 }
 
@@ -211,50 +208,6 @@ func TestAsShard(t *testing.T) {
 	}
 	if _, ok := AsShard((*Shard)(nil)); ok {
 		t.Error("AsShard(nil *Shard) = true, want false")
-	}
-}
-
-// TestShardsOfUnionCoversExactlyOnce: the complete family's union runs
-// every index exactly once — the reassembly identity the registered
-// "sharded" engine carries into every package's enginetest suite.
-func TestShardsOfUnionCoversExactlyOnce(t *testing.T) {
-	u, err := NewShardUnion("t", ShardsOf(Serial, 4)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 21
-	counts := make([]int, n)
-	u.For(n, func(i int) { counts[i]++ })
-	for i, c := range counts {
-		if c != 1 {
-			t.Errorf("For: index %d ran %d times, want 1", i, c)
-		}
-	}
-	if err := u.ForCtx(context.Background(), n, func(int) {}); err != nil {
-		t.Errorf("complete-family ForCtx = %v, want nil (remainders are internal)", err)
-	}
-}
-
-// TestNewShardUnionFailsClosed: empty lists and invalid members are
-// rejected at construction.
-func TestNewShardUnionFailsClosed(t *testing.T) {
-	if _, err := NewShardUnion("t"); err == nil {
-		t.Error("empty union accepted")
-	}
-	if _, err := NewShardUnion("t", Shard{K: 2, N: 2, Inner: Serial}); err == nil {
-		t.Error("invalid member shard accepted")
-	}
-}
-
-// TestShardedEngineRegistered: the "sharded" composition is in the
-// registry, so every enginetest suite replays on it automatically.
-func TestShardedEngineRegistered(t *testing.T) {
-	e, err := Get("sharded")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := e.(*ShardUnion); !ok {
-		t.Fatalf("registered sharded engine is %T, want *ShardUnion", e)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/engine/enginetest"
 )
 
 func TestSortedKeysSortedAndComplete(t *testing.T) {
@@ -78,28 +79,40 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestRenderEngineHonored: a figure render dispatches on the Config's
-// engine, not the process default, so services can pin their own.
+// sweepless lists the figures that dispatch no work at all: closed-form
+// worked examples and tables.
+var sweepless = map[string]bool{"5a": true, "5b": true}
+
+// TestRenderEngineHonored: every registry figure with a sweep
+// dispatches on the Config's engine — none falls back to another one,
+// which would bypass a service's slot cap — and its output matches the
+// engine.Serial render byte for byte.
 func TestRenderEngineHonored(t *testing.T) {
-	f, ok := Get("5a")
-	if !ok {
-		t.Fatal("figure 5a not registered")
-	}
-	cfg := Defaults()
-	cfg.Engine = engine.Serial
-	var a bytes.Buffer
-	if err := f.Render(context.Background(), &a, cfg); err != nil {
-		t.Fatalf("render on Serial: %v", err)
-	}
-	cfg.Engine = engine.WordParallel
-	var b bytes.Buffer
-	if err := f.Render(context.Background(), &b, cfg); err != nil {
-		t.Fatalf("render on WordParallel: %v", err)
-	}
-	if a.String() != b.String() {
-		t.Error("5a output differs across engines (determinism contract broken)")
-	}
-	if a.Len() == 0 {
-		t.Error("5a rendered empty output")
+	ctx := context.Background()
+	for _, f := range All() {
+		cfg := Defaults()
+		cfg.Engine = engine.Serial
+		var want bytes.Buffer
+		if err := f.Render(ctx, &want, cfg); err != nil {
+			t.Fatalf("%s on serial: %v", f.Key, err)
+		}
+		rec := &enginetest.Recorder{Inner: engine.WordParallel}
+		cfg.Engine = rec
+		var got bytes.Buffer
+		if err := f.Render(ctx, &got, cfg); err != nil {
+			t.Fatalf("%s on the recorder: %v", f.Key, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: output on the recording engine differs from the serial render", f.Key)
+		}
+		if want.Len() == 0 {
+			t.Errorf("%s rendered empty output", f.Key)
+		}
+		switch n := len(rec.Dispatches()); {
+		case sweepless[f.Key] && n != 0:
+			t.Errorf("%s dispatched %d times but is listed as sweepless", f.Key, n)
+		case !sweepless[f.Key] && n == 0:
+			t.Errorf("%s never dispatched on Config.Engine", f.Key)
+		}
 	}
 }

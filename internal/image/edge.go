@@ -1,6 +1,7 @@
 package image
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -86,7 +87,7 @@ func (s *edgeScratch) absDiffPlane(dst []uint64, a, b uint8, seed uint64, stream
 	stochastic.FillAbsDiffPlane(s.src, float64(a)/255, float64(b)/255, streamLen, dst)
 }
 
-// RobertsCrossSCOn computes the operator stochastically with
+// RobertsCrossSC computes the operator stochastically with
 // `streamLen`-bit streams. Pixel streams within one 2×2 window share
 // one randomness source (maximal correlation) so XOR realizes the
 // absolute difference; the two difference streams and the averaging
@@ -101,9 +102,10 @@ func (s *edgeScratch) absDiffPlane(dst []uint64, a, b uint8, seed uint64, stream
 // so the output is bit-identical on every conforming engine and
 // deterministic on any GOMAXPROCS. A non-positive stream length is an
 // error (it would silently produce a garbage image), as is a nil
-// engine. The word-level kernels themselves are pinned against their
+// engine. A fired ctx stops the band fan-out at a band boundary and
+// returns its error (or the *parallel.PanicError of a faulting band). The word-level kernels themselves are pinned against their
 // bit-serial definitions by the stochastic package's plane tests.
-func RobertsCrossSCOn(e engine.Engine, src *Gray, streamLen int, seed uint64) (*Gray, error) {
+func RobertsCrossSC(ctx context.Context, e engine.Engine, src *Gray, streamLen int, seed uint64) (*Gray, error) {
 	if err := engine.Check(e); err != nil {
 		return nil, err
 	}
@@ -121,7 +123,7 @@ func RobertsCrossSCOn(e engine.Engine, src *Gray, streamLen int, seed uint64) (*
 	tiles := (rows + edgeRowsPerTile - 1) / edgeRowsPerTile
 	workers := e.Workers(tiles)
 	scratch := make([]*edgeScratch, workers)
-	e.ForWorker(tiles, workers, func(worker, t int) {
+	if err := e.Run(ctx, tiles, workers, func(worker, t int) {
 		s := scratch[worker]
 		if s == nil {
 			s = newEdgeScratch(words)
@@ -141,18 +143,8 @@ func RobertsCrossSCOn(e engine.Engine, src *Gray, streamLen int, seed uint64) (*
 				out.Set(x, y, quantize(float64(ones)/float64(streamLen)))
 			}
 		}
-	})
+	}); err != nil {
+		return nil, err
+	}
 	return out, nil
-}
-
-// RobertsCrossSC is RobertsCrossSCOn on the process-default engine.
-func RobertsCrossSC(src *Gray, streamLen int, seed uint64) (*Gray, error) {
-	return RobertsCrossSCOn(engine.Default(), src, streamLen, seed)
-}
-
-// RobertsCrossSCSerial is the retained serial oracle for
-// RobertsCrossSC: the same tiled kernel walked in order on the calling
-// goroutine via engine.Serial.
-func RobertsCrossSCSerial(src *Gray, streamLen int, seed uint64) (*Gray, error) {
-	return RobertsCrossSCOn(engine.Serial, src, streamLen, seed)
 }

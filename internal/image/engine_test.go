@@ -16,23 +16,18 @@ import (
 // non-word-multiple stream lengths exercise tile remainders and plane
 // tails.
 func TestEngineSuite(t *testing.T) {
+	ctx := context.Background()
 	cases := []enginetest.Case{
 		{
-			Name: "image.GammaVideoOn",
+			Name: "image.GammaVideo",
 			Eval: func(e engine.Engine) (any, error) {
-				return GammaVideoOn(e, videoFrames(), 0.45, 6, 0.3, 256, 9, nil)
+				return GammaVideo(ctx, e, videoFrames(), 0.45, 6, 0.3, 256, 9, nil)
 			},
 		},
 		{
-			Name: "image.GammaVideoPerFrameOn",
+			Name: "image.GammaVideoPerFrame",
 			Eval: func(e engine.Engine) (any, error) {
-				return GammaVideoPerFrameOn(e, videoFrames(), 0.45, 6, 0.3, 256, 9, nil)
-			},
-		},
-		{
-			Name: "image.GammaVideoCtx",
-			Eval: func(e engine.Engine) (any, error) {
-				return GammaVideoCtx(context.Background(), e, videoFrames(), 0.45, 6, 0.3, 256, 9, nil)
+				return GammaVideoPerFrame(ctx, e, videoFrames(), 0.45, 6, 0.3, 256, 9, nil)
 			},
 		},
 	}
@@ -49,55 +44,51 @@ func TestEngineSuite(t *testing.T) {
 	} {
 		tc := tc
 		cases = append(cases, enginetest.Case{
-			Name: "image.RobertsCrossSCOn/" + tc.name,
+			Name: "image.RobertsCrossSC/" + tc.name,
 			Eval: func(e engine.Engine) (any, error) {
 				src := Checkerboard(tc.w, tc.h, 4, 40, 210)
-				return RobertsCrossSCOn(e, src, tc.streamLen, tc.seed)
+				return RobertsCrossSC(ctx, e, src, tc.streamLen, tc.seed)
 			},
 		})
 	}
 	enginetest.Run(t, nil, cases)
 }
 
-// TestSerialShims pins the X / XSerial surface onto the engine layer:
-// each XSerial is exactly XOn on engine.Serial, and each X is XOn on
-// the process default.
+// TestSerialShims pins the serial oracle onto the engine layer: each
+// entry point on engine.Serial equals the word-parallel run.
 func TestSerialShims(t *testing.T) {
+	ctx := context.Background()
 	src := Checkerboard(21, 13, 4, 40, 210)
-	edgeSerial, err := RobertsCrossSCSerial(src, 100, 3)
+	edgeSerial, err := RobertsCrossSC(ctx, engine.Serial, src, 100, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	edge, err := RobertsCrossSC(src, 100, 3)
+	edge, err := RobertsCrossSC(ctx, engine.WordParallel, src, 100, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range edgeSerial.Pix {
-		if edgeSerial.Pix[i] != edge.Pix[i] {
-			t.Fatalf("pixel %d: RobertsCrossSCSerial %d vs RobertsCrossSC %d", i, edgeSerial.Pix[i], edge.Pix[i])
-		}
-	}
+	assertFramesEqual(t, "RobertsCrossSC serial vs parallel", []*Gray{edgeSerial}, []*Gray{edge})
 
 	frames := videoFrames()
-	vidSerial, err := GammaVideoSerial(frames, 0.45, 6, 0.3, 256, 9)
+	vidSerial, err := GammaVideo(ctx, engine.Serial, frames, 0.45, 6, 0.3, 256, 9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vid, err := GammaVideo(frames, 0.45, 6, 0.3, 256, 9, nil)
+	vid, err := GammaVideo(ctx, engine.WordParallel, frames, 0.45, 6, 0.3, 256, 9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertFramesEqual(t, "GammaVideoSerial vs GammaVideo", vidSerial, vid)
+	assertFramesEqual(t, "GammaVideo serial vs parallel", vidSerial, vid)
 
-	pfSerial, err := GammaVideoPerFrameSerial(frames, 0.45, 6, 0.3, 256, 9)
+	pfSerial, err := GammaVideoPerFrame(ctx, engine.Serial, frames, 0.45, 6, 0.3, 256, 9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf, err := GammaVideoPerFrame(frames, 0.45, 6, 0.3, 256, 9, nil)
+	pf, err := GammaVideoPerFrame(ctx, engine.WordParallel, frames, 0.45, 6, 0.3, 256, 9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertFramesEqual(t, "GammaVideoPerFrameSerial vs GammaVideoPerFrame", pfSerial, pf)
+	assertFramesEqual(t, "GammaVideoPerFrame serial vs parallel", pfSerial, pf)
 }
 
 func assertFramesEqual(t *testing.T, name string, want, got []*Gray) {
@@ -120,15 +111,16 @@ func assertFramesEqual(t *testing.T, name string, want, got []*Gray) {
 // TestNilEngineMisuse: all three entry points report a nil engine as a
 // clean error (they all have error returns).
 func TestNilEngineMisuse(t *testing.T) {
+	ctx := context.Background()
 	src := Checkerboard(8, 8, 2, 0, 255)
-	if _, err := RobertsCrossSCOn(nil, src, 64, 1); err == nil {
-		t.Error("RobertsCrossSCOn(nil) did not error")
+	if _, err := RobertsCrossSC(ctx, nil, src, 64, 1); err == nil {
+		t.Error("RobertsCrossSC(nil) did not error")
 	}
 	frames := []*Gray{Gradient(8, 8)}
-	if _, err := GammaVideoOn(nil, frames, 0.45, 6, 0.3, 64, 1, nil); err == nil {
-		t.Error("GammaVideoOn(nil) did not error")
+	if _, err := GammaVideo(ctx, nil, frames, 0.45, 6, 0.3, 64, 1, nil); err == nil {
+		t.Error("GammaVideo(nil) did not error")
 	}
-	if _, err := GammaVideoPerFrameOn(nil, frames, 0.45, 6, 0.3, 64, 1, nil); err == nil {
-		t.Error("GammaVideoPerFrameOn(nil) did not error")
+	if _, err := GammaVideoPerFrame(ctx, nil, frames, 0.45, 6, 0.3, 64, 1, nil); err == nil {
+		t.Error("GammaVideoPerFrame(nil) did not error")
 	}
 }

@@ -93,7 +93,7 @@ func (c *GammaLUTCache) ReSCLUT(gamma float64, degree, streamLen int, seed uint6
 	})
 }
 
-// GammaVideoOn applies optical gamma correction to a batch of frames
+// GammaVideo applies optical gamma correction to a batch of frames
 // — the video-style workload of the photonic-crystal follow-up — and
 // returns the corrected frames in order. The gamma state (coefficient
 // fit, circuit solve, 256-level LUT) is built once through the cache
@@ -106,19 +106,10 @@ func (c *GammaLUTCache) ReSCLUT(gamma float64, degree, streamLen int, seed uint6
 // A nil cache builds the state privately for this call; passing a
 // shared *GammaLUTCache amortizes it across calls (successive batches,
 // interleaved gammas). Frames must be non-nil; a nil engine is an
-// error.
-func GammaVideoOn(e engine.Engine, frames []*Gray, gamma float64, degree int, spacingNM float64, streamLen int, seed uint64, cache *GammaLUTCache) ([]*Gray, error) {
-	return GammaVideoCtx(context.Background(), e, frames, gamma, degree, spacingNM, streamLen, seed, cache)
-}
-
-// GammaVideoCtx is GammaVideoOn under cooperative cancellation: a
-// fired ctx stops the frame fan-out at a frame boundary and surfaces a
-// *engine.Partial (wrapping the context error, or the
+// error. A fired ctx stops the frame fan-out at a frame boundary and
+// surfaces a *engine.Partial (wrapping the context error, or the
 // *parallel.PanicError of a faulting frame) instead of frames.
-func GammaVideoCtx(ctx context.Context, e engine.Engine, frames []*Gray, gamma float64, degree int, spacingNM float64, streamLen int, seed uint64, cache *GammaLUTCache) ([]*Gray, error) {
-	if err := engine.Check(e); err != nil {
-		return nil, err
-	}
+func GammaVideo(ctx context.Context, e engine.Engine, frames []*Gray, gamma float64, degree int, spacingNM float64, streamLen int, seed uint64, cache *GammaLUTCache) ([]*Gray, error) {
 	if cache == nil {
 		cache = &GammaLUTCache{}
 	}
@@ -127,7 +118,7 @@ func GammaVideoCtx(ctx context.Context, e engine.Engine, frames []*Gray, gamma f
 		return nil, err
 	}
 	out := make([]*Gray, len(frames))
-	if err := engine.RunCtx(ctx, e, len(frames), nil, func(i int) {
+	if err := engine.RunPartial(ctx, e, len(frames), func(i int) {
 		f := frames[i].Clone()
 		applyLUT(f, lut)
 		out[i] = f
@@ -137,19 +128,7 @@ func GammaVideoCtx(ctx context.Context, e engine.Engine, frames []*Gray, gamma f
 	return out, nil
 }
 
-// GammaVideo is GammaVideoOn on the process-default engine.
-func GammaVideo(frames []*Gray, gamma float64, degree int, spacingNM float64, streamLen int, seed uint64, cache *GammaLUTCache) ([]*Gray, error) {
-	return GammaVideoOn(engine.Default(), frames, gamma, degree, spacingNM, streamLen, seed, cache)
-}
-
-// GammaVideoSerial is the retained serial oracle for GammaVideo: the
-// same cached build with frames walked in order on the calling
-// goroutine via engine.Serial.
-func GammaVideoSerial(frames []*Gray, gamma float64, degree int, spacingNM float64, streamLen int, seed uint64) ([]*Gray, error) {
-	return GammaVideoOn(engine.Serial, frames, gamma, degree, spacingNM, streamLen, seed, nil)
-}
-
-// GammaVideoPerFrameOn is GammaVideoOn with decorrelated stochastic noise
+// GammaVideoPerFrame is GammaVideo with decorrelated stochastic noise
 // across frames: frame i evaluates its LUT under the derived seed
 // DeriveSeed(seed, i), so quantization error is independent frame to
 // frame instead of frozen into one batch-wide pattern (the temporal
@@ -163,12 +142,9 @@ func GammaVideoSerial(frames []*Gray, gamma float64, degree int, spacingNM float
 // replaying the batch (or a longer clip at the same base seed) hits
 // every LUT already built. Frames are dispatched on the given engine;
 // if any fail, the error of the lowest failing frame is returned — a
-// deterministic choice, matching dse.SweepErr. A nil engine is an
-// error.
-func GammaVideoPerFrameOn(e engine.Engine, frames []*Gray, gamma float64, degree int, spacingNM float64, streamLen int, seed uint64, cache *GammaLUTCache) ([]*Gray, error) {
-	if err := engine.Check(e); err != nil {
-		return nil, err
-	}
+// deterministic choice, matching dse.Sweep. A nil engine is an error;
+// an interruption surfaces the *engine.Partial.
+func GammaVideoPerFrame(ctx context.Context, e engine.Engine, frames []*Gray, gamma float64, degree int, spacingNM float64, streamLen int, seed uint64, cache *GammaLUTCache) ([]*Gray, error) {
 	if cache == nil {
 		cache = &GammaLUTCache{}
 	}
@@ -179,7 +155,7 @@ func GammaVideoPerFrameOn(e engine.Engine, frames []*Gray, gamma float64, degree
 	}
 	out := make([]*Gray, len(frames))
 	errs := make([]error, len(frames))
-	e.For(len(frames), func(i int) {
+	if err := engine.RunPartial(ctx, e, len(frames), func(i int) {
 		lut, err := cache.OpticalLUT(gamma, degree, spacingNM, streamLen, stochastic.DeriveSeed(seed, i))
 		if err != nil {
 			errs[i] = err
@@ -188,24 +164,13 @@ func GammaVideoPerFrameOn(e engine.Engine, frames []*Gray, gamma float64, degree
 		f := frames[i].Clone()
 		applyLUT(f, lut)
 		out[i] = f
-	})
+	}); err != nil {
+		return nil, err
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
-}
-
-// GammaVideoPerFrame is GammaVideoPerFrameOn on the process-default
-// engine.
-func GammaVideoPerFrame(frames []*Gray, gamma float64, degree int, spacingNM float64, streamLen int, seed uint64, cache *GammaLUTCache) ([]*Gray, error) {
-	return GammaVideoPerFrameOn(engine.Default(), frames, gamma, degree, spacingNM, streamLen, seed, cache)
-}
-
-// GammaVideoPerFrameSerial is the retained serial oracle for
-// GammaVideoPerFrame: the same cached per-frame-seed build with frames
-// walked in order on the calling goroutine via engine.Serial.
-func GammaVideoPerFrameSerial(frames []*Gray, gamma float64, degree int, spacingNM float64, streamLen int, seed uint64) ([]*Gray, error) {
-	return GammaVideoPerFrameOn(engine.Serial, frames, gamma, degree, spacingNM, streamLen, seed, nil)
 }

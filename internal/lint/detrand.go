@@ -10,14 +10,12 @@ import (
 //
 //   - no time.Now and no global math/rand state in internal/ — every
 //     result must replay bit-identically from explicit seeds;
-//   - any worker closure passed to parallel.For/ForWorker/Run (or
-//     their ctx variants) or to an evaluation engine's For/ForWorker
-//     (internal/engine; engine.Chunked and the cancellable
-//     ForCtx/ForWorkerCtx/RunCtx included) that constructs an RNG
-//     must derive its
-//     seed through stochastic.DeriveSeed (directly, or via a
-//     same-package seed helper such as trialSeeds), so results are
-//     identical at any GOMAXPROCS and under any scheduling.
+//   - any worker closure passed to parallel.For/Run, to an evaluation
+//     engine's Run (internal/engine), or to engine.Chunked or
+//     engine.RunPartial that constructs an RNG must derive its seed
+//     through stochastic.DeriveSeed (directly, or via a same-package
+//     seed helper such as trialSeeds), so results are identical at
+//     any GOMAXPROCS and under any scheduling.
 var DetRand = &Analyzer{
 	Name: "detrand",
 	Doc:  "deterministic randomness: no wall-clock or global RNG state; worker closures seed via stochastic.DeriveSeed",
@@ -51,12 +49,12 @@ func isStochasticFunc(obj *types.Func, name string) bool {
 }
 
 // dispatchesWorkers reports whether the call hands worker closures to
-// a fan-out primitive: internal/parallel's For/ForWorker/Run and
-// their context-aware ForCtx/ForWorkerCtx, or the engine layer's
-// Engine.For/ForWorker, engine.Chunked and the cancellable
-// ForCtx/ForWorkerCtx/RunCtx — the worker closures both analyzers
-// inspect. The ctx variants stop early but never re-run an item, so
-// the same determinism and allocation rules apply to their closures.
+// a fan-out primitive: internal/parallel's For and Run, or the engine
+// layer's Engine.Run (on any engine type), engine.Chunked and the
+// Partial helper engine.RunPartial — the worker closures both
+// analyzers inspect. Cancellable dispatch stops early but never
+// re-runs an item, so the same determinism and allocation rules apply
+// to every one of these closures.
 func dispatchesWorkers(p *Package, call *ast.CallExpr) bool {
 	callee := p.Callee(call)
 	if callee == nil {
@@ -65,12 +63,12 @@ func dispatchesWorkers(p *Package, call *ast.CallExpr) bool {
 	switch {
 	case pkgSuffixIs(callee, "internal/parallel"):
 		switch callee.Name() {
-		case "For", "ForWorker", "Run", "ForCtx", "ForWorkerCtx":
+		case "For", "Run":
 			return true
 		}
 	case pkgSuffixIs(callee, "internal/engine"):
 		switch callee.Name() {
-		case "For", "ForWorker", "Chunked", "ForCtx", "ForWorkerCtx", "RunCtx":
+		case "Run", "Chunked", "RunPartial":
 			return true
 		}
 	}

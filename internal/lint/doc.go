@@ -11,8 +11,9 @@
 // Every parallel engine in the repo is deterministic by construction:
 // randomness derives from (seed, item index) via stochastic.DeriveSeed,
 // never from scheduling, wall clock, or shared generator state. Every
-// word-parallel engine X keeps a bit-serial sibling XSerial pinned by
-// an equivalence test. Output renderers must not leak Go's randomized
+// engine-accepting entry point is replayed on every engine against the
+// engine.Serial reference by the enginetest suite. Output renderers
+// must not leak Go's randomized
 // map iteration order, and errors must propagate instead of being
 // swallowed. All four conventions have been violated before — PR 5's
 // CI smoke diff caught map-iteration nondeterminism in
@@ -27,10 +28,8 @@
 // detrand — deterministic randomness. In internal/ packages, time.Now
 // and the global math/rand functions are banned outright: results must
 // replay bit-identically from explicit seeds. Everywhere, a closure
-// passed to a worker dispatcher — parallel.For / ForWorker / Run /
-// ForCtx / ForWorkerCtx, or an Engine's For / ForWorker,
-// engine.Chunked and the cancellable engine.ForCtx / ForWorkerCtx /
-// RunCtx — that constructs an RNG
+// passed to a worker dispatcher — parallel.For / Run, an Engine's Run,
+// engine.Chunked or engine.RunPartial — that constructs an RNG
 // (stochastic.NewSplitMix64, NewLFSR, NewChaoticSource,
 // NewChaoticLaserSNG, NewReSCWithSeeds, or a math/rand constructor)
 // must reference stochastic.DeriveSeed — directly in the body, or
@@ -45,16 +44,13 @@
 // idiom passes: appends are clean when the destination slice is handed
 // to a sort.* / slices.Sort* call later in the same block.
 //
-// oraclepair — equivalence pins, in two parts. Pairs: for every
-// exported X with an exported XSerial sibling in an internal/
-// package, some _test.go file in the package must reference both
-// identifiers; otherwise the pair is unpinned and the oracle is dead
-// weight. Suite registration: every exported function or method that
-// takes an engine.Engine parameter must be exercised by the
-// cross-engine suite — referenced from a _test.go file that imports
-// internal/engine/enginetest and calls its Run — otherwise the entry
-// point is never replayed across engines. internal/engine itself (and
-// its subpackages) is exempt, being the layer under test.
+// oraclepair — suite registration. Every exported function or method
+// in an internal/ package that takes an engine.Engine parameter must
+// be exercised by the cross-engine suite — referenced from a _test.go
+// file that imports internal/engine/enginetest and calls its Run —
+// otherwise the entry point is never replayed across engines against
+// the engine.Serial oracle. internal/engine itself (and its
+// subpackages) is exempt, being the layer under test.
 //
 // errprop — error propagation in cmd/ and internal/. Discarding an
 // error via `_ =` (including the error slot of a multi-assign) or a

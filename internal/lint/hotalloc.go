@@ -5,14 +5,12 @@ import (
 )
 
 // HotAlloc supports the ROADMAP zero-alloc push: inside a closure
-// handed to parallel.For/ForWorker/Run (or their ctx variants) or to
-// an evaluation engine's For/ForWorker (internal/engine;
-// engine.Chunked and the cancellable ForCtx/ForWorkerCtx/RunCtx
-// included), per-item
-// `make` calls, growing `append`s, and fmt.Sprint* formatting multiply
-// allocations by the item count. The fix is the ForWorker per-worker
-// scratch pattern (O(workers) allocations, see image.RobertsCrossSC)
-// or hoisting the buffer outside the fan-out. Results that must be
+// handed to parallel.For/Run, to an evaluation engine's Run
+// (internal/engine), or to engine.Chunked or engine.RunPartial,
+// per-item `make` calls, growing `append`s, and fmt.Sprint* formatting
+// multiply allocations by the item count. The fix is the per-worker
+// scratch pattern on Run's worker index (O(workers) allocations, see
+// image.RobertsCrossSC) or hoisting the buffer outside the fan-out. Results that must be
 // written per item (`out[i] = ...`) are unaffected — only fresh
 // allocations inside the body are flagged.
 var HotAlloc = &Analyzer{
@@ -54,7 +52,7 @@ func checkHotBody(p *Package, fl *ast.FuncLit) []Finding {
 		case isBuiltin(p, call, "make"):
 			out = append(out, p.Findingf(call, "hotalloc",
 				"make inside a worker body allocates per item; "+
-					"hoist into per-worker scratch (parallel.ForWorker worker index)"))
+					"hoist into per-worker scratch (the worker index of Engine.Run or parallel.Run)"))
 		case isBuiltin(p, call, "append"):
 			out = append(out, p.Findingf(call, "hotalloc",
 				"append inside a worker body may grow per item; "+

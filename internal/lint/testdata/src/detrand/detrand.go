@@ -28,7 +28,7 @@ func BadWallClockSeed(n int) []float64 {
 // DeriveSeed — correlated streams across items.
 func BadSharedSeed(n int, seed uint64) []float64 {
 	out := make([]float64, n)
-	parallel.ForWorker(n, 0, func(_, i int) {
+	_ = parallel.Run(context.Background(), n, 0, func(_, i int) {
 		rng := stochastic.NewSplitMix64(seed + uint64(i)) // want detrand
 		out[i] = rng.Next()
 	})
@@ -67,77 +67,90 @@ func GoodHelper(n int, seed uint64) []float64 {
 }
 
 // BadEngineSeed constructs an underived per-item RNG inside an
-// engine-dispatched worker body: Engine.For is a fan-out exactly like
-// parallel.For, so the same discipline applies.
-func BadEngineSeed(e engine.Engine, n int, seed uint64) []float64 {
+// engine-dispatched worker body: Engine.Run is a fan-out exactly like
+// parallel.Run, so the same discipline applies.
+func BadEngineSeed(ctx context.Context, e engine.Engine, n int, seed uint64) ([]float64, error) {
 	out := make([]float64, n)
-	e.For(n, func(i int) {
+	err := e.Run(ctx, n, 0, func(_, i int) {
 		rng := stochastic.NewSplitMix64(seed + uint64(i)) // want detrand
 		out[i] = rng.Next()
 	})
-	return out
+	return out, err
+}
+
+// BadEngineWallClock seeds an Engine.Run worker RNG from the wall
+// clock: the time.Now use and the underived constructor both flag.
+func BadEngineWallClock(ctx context.Context, e engine.Engine, n int) ([]float64, error) {
+	out := make([]float64, n)
+	err := e.Run(ctx, n, 0, func(_, i int) {
+		rng := stochastic.NewSplitMix64(uint64(time.Now().UnixNano())) // want detrand detrand
+		out[i] = rng.Next()
+	})
+	return out, err
 }
 
 // GoodEngineSeed derives per-item seeds on the engine dispatch path.
-func GoodEngineSeed(e engine.Engine, n int, seed uint64) []float64 {
+func GoodEngineSeed(ctx context.Context, e engine.Engine, n int, seed uint64) ([]float64, error) {
 	out := make([]float64, n)
-	e.For(n, func(i int) {
+	err := e.Run(ctx, n, 0, func(_, i int) {
 		rng := stochastic.NewSplitMix64(stochastic.DeriveSeed(seed, i))
 		out[i] = rng.Next()
 	})
-	return out
+	return out, err
 }
 
 // BadShardSeed constructs an underived per-item RNG inside a
-// shard-filtered dispatch: engine.Shard.For only narrows which indices
+// shard-filtered dispatch: engine.Shard.Run only narrows which indices
 // run, so its closures are worker bodies under the same discipline.
-func BadShardSeed(e engine.Engine, n int, seed uint64) []float64 {
+func BadShardSeed(ctx context.Context, e engine.Engine, n int, seed uint64) ([]float64, error) {
 	out := make([]float64, n)
-	engine.Shard{K: 0, N: 2, Inner: e}.For(n, func(i int) {
+	err := engine.Shard{K: 0, N: 2, Inner: e}.Run(ctx, n, 0, func(_, i int) {
 		rng := stochastic.NewSplitMix64(seed + uint64(i)) // want detrand
 		out[i] = rng.Next()
 	})
-	return out
+	return out, err
 }
 
 // GoodShardSeed derives per-item seeds on the sharded dispatch path —
 // the property that makes shard outputs reassemble bit-identically.
-func GoodShardSeed(e engine.Engine, n int, seed uint64) []float64 {
+func GoodShardSeed(ctx context.Context, e engine.Engine, n int, seed uint64) ([]float64, error) {
 	out := make([]float64, n)
-	engine.Shard{K: 0, N: 2, Inner: e}.For(n, func(i int) {
+	err := engine.Shard{K: 0, N: 2, Inner: e}.Run(ctx, n, 0, func(_, i int) {
 		rng := stochastic.NewSplitMix64(stochastic.DeriveSeed(seed, i))
 		out[i] = rng.Next()
 	})
-	return out
+	return out, err
 }
 
-// BadCtxSeed constructs an underived per-item RNG inside a
-// cancellable dispatch: engine.RunCtx stops early but never re-runs
-// an item, so its closures obey the same discipline as Engine.For.
-func BadCtxSeed(ctx context.Context, e engine.Engine, n int, seed uint64) ([]float64, error) {
+// BadPartialSeed constructs an underived per-item RNG inside the
+// Partial helper: engine.RunPartial stops early but never re-runs an
+// item, so its closures obey the same discipline as Engine.Run.
+func BadPartialSeed(ctx context.Context, e engine.Engine, n int, seed uint64) ([]float64, error) {
 	out := make([]float64, n)
-	err := engine.RunCtx(ctx, e, n, nil, func(i int) {
+	err := engine.RunPartial(ctx, e, n, func(i int) {
 		rng := stochastic.NewSplitMix64(seed + uint64(i)) // want detrand
 		out[i] = rng.Next()
 	})
 	return out, err
 }
 
-// BadParallelCtxSeed is the same violation on the parallel layer's
-// context-aware dispatch.
-func BadParallelCtxSeed(ctx context.Context, n int, seed uint64) ([]float64, error) {
+// BadChunkedSeed is the same violation inside an engine.Chunked
+// range body.
+func BadChunkedSeed(ctx context.Context, e engine.Engine, n int, seed uint64) ([]float64, error) {
 	out := make([]float64, n)
-	err := parallel.ForCtx(ctx, n, func(i int) {
-		rng := stochastic.NewSplitMix64(seed ^ uint64(i)) // want detrand
-		out[i] = rng.Next()
+	err := engine.Chunked(ctx, e, n, 4, func(lo, hi int) {
+		rng := stochastic.NewSplitMix64(seed ^ uint64(lo)) // want detrand
+		for i := lo; i < hi; i++ {
+			out[i] = rng.Next()
+		}
 	})
 	return out, err
 }
 
-// GoodCtxSeed derives per-item seeds on the cancellable dispatch path.
-func GoodCtxSeed(ctx context.Context, e engine.Engine, n int, seed uint64) ([]float64, error) {
+// GoodPartialSeed derives per-item seeds in the Partial helper.
+func GoodPartialSeed(ctx context.Context, e engine.Engine, n int, seed uint64) ([]float64, error) {
 	out := make([]float64, n)
-	err := engine.RunCtx(ctx, e, n, nil, func(i int) {
+	err := engine.RunPartial(ctx, e, n, func(i int) {
 		rng := stochastic.NewSplitMix64(stochastic.DeriveSeed(seed, i))
 		out[i] = rng.Next()
 	})

@@ -25,46 +25,46 @@ func BadPerItem(n int) []string {
 }
 
 // BadEnginePerItem allocates per item inside an engine-dispatched
-// worker body: Engine.For is a fan-out exactly like parallel.For.
-func BadEnginePerItem(e engine.Engine, n int) []string {
+// worker body: Engine.Run is a fan-out exactly like parallel.Run.
+func BadEnginePerItem(ctx context.Context, e engine.Engine, n int) ([]string, error) {
 	out := make([]string, n)
-	e.For(n, func(i int) {
+	err := e.Run(ctx, n, 0, func(_, i int) {
 		buf := make([]byte, 8) // want hotalloc
 		buf[0] = byte(i)
 		out[i] = string(buf[:1])
 	})
-	return out
+	return out, err
 }
 
-// BadCtxPerItem allocates per item inside a cancellable dispatch:
-// engine.RunCtx fans out exactly like Engine.For, so its closures are
-// just as hot.
+// BadCtxPerItem allocates per item inside the Partial helper:
+// engine.RunPartial fans out exactly like Engine.Run, so its closures
+// are just as hot.
 func BadCtxPerItem(ctx context.Context, e engine.Engine, n int) ([]string, error) {
 	out := make([]string, n)
-	err := engine.RunCtx(ctx, e, n, nil, func(i int) {
+	err := engine.RunPartial(ctx, e, n, func(i int) {
 		out[i] = fmt.Sprint(i) // want hotalloc
 	})
 	return out, err
 }
 
 // GoodEngineScratch hoists per-worker scratch ahead of the engine
-// fan-out, mirroring the parallel.ForWorker pattern.
-func GoodEngineScratch(e engine.Engine, n int) []int {
+// fan-out and addresses it by Run's worker index.
+func GoodEngineScratch(ctx context.Context, e engine.Engine, n int) ([]int, error) {
 	workers := e.Workers(n)
 	scratch := make([][]byte, workers)
 	for w := range scratch {
 		scratch[w] = make([]byte, 8)
 	}
 	out := make([]int, n)
-	e.ForWorker(n, workers, func(worker, i int) {
+	err := e.Run(ctx, n, workers, func(worker, i int) {
 		buf := scratch[worker]
 		buf[0] = byte(i)
 		out[i] = int(buf[0])
 	})
-	return out
+	return out, err
 }
 
-// GoodScratch is the ForWorker pattern: one scratch buffer per
+// GoodScratch is the parallel.Run pattern: one scratch buffer per
 // worker, sized before the fan-out.
 func GoodScratch(n, workers int) []int {
 	if workers < 1 {
@@ -75,10 +75,12 @@ func GoodScratch(n, workers int) []int {
 		scratch[w] = make([]byte, 64)
 	}
 	out := make([]int, n)
-	parallel.ForWorker(n, workers, func(worker, i int) {
+	if err := parallel.Run(context.Background(), n, workers, func(worker, i int) {
 		buf := scratch[worker]
 		buf[0] = byte(i)
 		out[i] = int(buf[0])
-	})
+	}); err != nil {
+		return nil
+	}
 	return out
 }

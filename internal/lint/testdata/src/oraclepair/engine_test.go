@@ -1,6 +1,7 @@
 package oraclepair
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/engine"
@@ -11,13 +12,14 @@ import (
 // the pattern the oraclepair suite check requires for every
 // engine-accepting entry point.
 func TestEngineSuite(t *testing.T) {
+	ctx := context.Background()
 	enginetest.Run(t, nil, []enginetest.Case{{
 		Name: "oraclepair.RegisteredOn",
-		Eval: func(e engine.Engine) (any, error) { return RegisteredOn(e, 8), nil },
+		Eval: func(e engine.Engine) (any, error) { return RegisteredOn(ctx, e, 8) },
 	}, {
 		Name: "oraclepair.RegisteredShardedOn",
 		Eval: func(e engine.Engine) (any, error) {
-			return RegisteredShardedOn(engine.Shard{K: 0, N: 1, Inner: e}, 8), nil
+			return RegisteredShardedOn(ctx, engine.Shard{K: 0, N: 1, Inner: e}, 8)
 		},
 	}})
 }

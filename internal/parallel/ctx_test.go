@@ -17,17 +17,12 @@ func TestGuardsNeverSpawn(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for _, n := range []int{0, -1, -100} {
 		For(n, func(i int) { t.Errorf("For(%d) ran body at %d", n, i) })
-		ForWorker(n, 4, func(w, i int) { t.Errorf("ForWorker(%d) ran body at %d", n, i) })
-		ForWorker(n, -2, func(w, i int) { t.Errorf("ForWorker(%d, -2) ran body at %d", n, i) })
-		if err := ForCtx(context.Background(), n, func(i int) {
-			t.Errorf("ForCtx(%d) ran body at %d", n, i)
-		}); err != nil {
-			t.Errorf("ForCtx(%d) = %v", n, err)
-		}
-		if err := ForWorkerCtx(context.Background(), n, -7, func(w, i int) {
-			t.Errorf("ForWorkerCtx(%d) ran body at %d", n, i)
-		}); err != nil {
-			t.Errorf("ForWorkerCtx(%d) = %v", n, err)
+		for _, workers := range []int{4, 0, -7} {
+			if err := Run(context.Background(), n, workers, func(w, i int) {
+				t.Errorf("Run(%d, %d) ran body at %d", n, workers, i)
+			}); err != nil {
+				t.Errorf("Run(%d, %d) = %v", n, workers, err)
+			}
 		}
 	}
 	// The guards must not leave watcher or worker goroutines behind.
@@ -40,9 +35,8 @@ func TestGuardsNeverSpawn(t *testing.T) {
 	// workers <= 0 on a real workload auto-sizes instead of spawning
 	// an unbounded pool.
 	var count atomic.Int32
-	ForWorker(8, -3, func(w, i int) { count.Add(1) })
-	if count.Load() != 8 {
-		t.Errorf("ForWorker(8, -3) ran %d of 8 items", count.Load())
+	if err := Run(context.Background(), 8, -3, func(w, i int) { count.Add(1) }); err != nil || count.Load() != 8 {
+		t.Errorf("Run(8, -3) ran %d of 8 items: %v", count.Load(), err)
 	}
 }
 
@@ -52,7 +46,7 @@ func TestGuardsNeverSpawn(t *testing.T) {
 func TestForCtxCompletesWithoutCancel(t *testing.T) {
 	for _, n := range []int{1, 7, 300} {
 		counts := make([]atomic.Int32, n)
-		if err := ForCtx(context.Background(), n, func(i int) { counts[i].Add(1) }); err != nil {
+		if err := Run(context.Background(), n, 0, func(_, i int) { counts[i].Add(1) }); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		for i := range counts {
@@ -68,7 +62,7 @@ func TestForCtxCompletesWithoutCancel(t *testing.T) {
 func TestForCtxAlreadyCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := ForCtx(ctx, 100, func(i int) { t.Errorf("ran item %d", i) })
+	err := Run(ctx, 100, 0, func(_, i int) { t.Errorf("ran item %d", i) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -83,7 +77,7 @@ func TestForCtxStopsAtItemBoundary(t *testing.T) {
 	const n = 20_000_000
 	ctx, cancel := context.WithCancel(context.Background())
 	var started, finished atomic.Int32
-	err := ForCtx(ctx, n, func(i int) {
+	err := Run(ctx, n, 0, func(_, i int) {
 		started.Add(1)
 		if i == 10 {
 			cancel()
@@ -109,7 +103,7 @@ func TestForCtxStopsAtItemBoundary(t *testing.T) {
 func TestForCtxLateCancelIsNil(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := ForCtx(ctx, 50, func(i int) {}); err != nil {
+	if err := Run(ctx, 50, 0, func(_, i int) {}); err != nil {
 		t.Fatalf("completed sweep reported %v", err)
 	}
 }
@@ -119,38 +113,46 @@ func TestForCtxLateCancelIsNil(t *testing.T) {
 func TestDeadlineStopsSweep(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	err := ForCtx(ctx, 1<<30, func(i int) { time.Sleep(50 * time.Microsecond) })
+	err := Run(ctx, 1<<30, 0, func(_, i int) { time.Sleep(50 * time.Microsecond) })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
 
-// TestWorkerPanicSurfacesOnCaller: a panic inside a pooled worker no
-// longer crashes the process; it re-raises on the calling goroutine as
-// a *PanicError naming the failing index, at one worker and many.
+// TestWorkerPanicSurfacesOnCaller: a panic inside a pooled worker
+// never crashes the process; Run returns it as a *PanicError naming
+// the failing index, and For re-raises that error on the calling
+// goroutine, at one worker and many.
 func TestWorkerPanicSurfacesOnCaller(t *testing.T) {
 	for _, workers := range []int{1, 4} {
+		check := func(r any) {
+			pe, ok := r.(*PanicError)
+			if !ok {
+				t.Fatalf("workers=%d: got %T %v, want *PanicError", workers, r, r)
+			}
+			if pe.Index != 3 {
+				t.Errorf("workers=%d: panic attributed to index %d, want 3", workers, pe.Index)
+			}
+			if pe.Worker < 0 || pe.Worker >= workers {
+				t.Errorf("workers=%d: worker %d out of range", workers, pe.Worker)
+			}
+			if want := "item 3 panicked: boom"; !strings.Contains(pe.Error(), want) {
+				t.Errorf("workers=%d: error %q does not contain %q", workers, pe.Error(), want)
+			}
+			if len(pe.Stack) == 0 {
+				t.Errorf("workers=%d: no stack captured", workers)
+			}
+		}
+		err := Run(context.Background(), 8, workers, func(w, i int) {
+			if i == 3 {
+				panic("boom")
+			}
+		})
+		check(err)
 		func() {
-			defer func() {
-				r := recover()
-				pe, ok := r.(*PanicError)
-				if !ok {
-					t.Fatalf("workers=%d: recovered %T %v, want *PanicError", workers, r, r)
-				}
-				if pe.Index != 3 {
-					t.Errorf("workers=%d: panic attributed to index %d, want 3", workers, pe.Index)
-				}
-				if pe.Worker < 0 || pe.Worker >= workers {
-					t.Errorf("workers=%d: worker %d out of range", workers, pe.Worker)
-				}
-				if want := "item 3 panicked: boom"; !strings.Contains(pe.Error(), want) {
-					t.Errorf("workers=%d: error %q does not contain %q", workers, pe.Error(), want)
-				}
-				if len(pe.Stack) == 0 {
-					t.Errorf("workers=%d: no stack captured", workers)
-				}
-			}()
-			ForWorker(8, workers, func(w, i int) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+			defer func() { check(recover()) }()
+			For(8, func(i int) {
 				if i == 3 {
 					panic("boom")
 				}
@@ -159,12 +161,12 @@ func TestWorkerPanicSurfacesOnCaller(t *testing.T) {
 	}
 }
 
-// TestForCtxPanicReturnsTypedError: the ctx variants surface the same
+// TestForCtxPanicReturnsTypedError: Run surfaces the same
 // panic as an ordinary error instead of re-raising, and an error panic
 // value stays reachable through errors.Is.
 func TestForCtxPanicReturnsTypedError(t *testing.T) {
 	sentinel := errors.New("injected fault")
-	err := ForCtx(context.Background(), 16, func(i int) {
+	err := Run(context.Background(), 16, 0, func(_, i int) {
 		if i == 5 {
 			panic(sentinel)
 		}
@@ -184,7 +186,7 @@ func TestForCtxPanicReturnsTypedError(t *testing.T) {
 // TestLowestIndexPanicWins: when several items panic, the caller sees
 // a deterministic choice — the lowest index recorded.
 func TestLowestIndexPanicWins(t *testing.T) {
-	err := ForCtx(context.Background(), 4, func(i int) {
+	err := Run(context.Background(), 4, 0, func(_, i int) {
 		panic(fmt.Sprintf("fault-%d", i))
 	})
 	var pe *PanicError
@@ -204,7 +206,7 @@ func TestLowestIndexPanicWins(t *testing.T) {
 // TestNestedPanicErrorPassesThrough: a nested fan-out that already
 // attributed a panic is not re-wrapped by the outer one.
 func TestNestedPanicErrorPassesThrough(t *testing.T) {
-	err := ForCtx(context.Background(), 2, func(outer int) {
+	err := Run(context.Background(), 2, 0, func(_, outer int) {
 		if outer == 1 {
 			For(3, func(inner int) {
 				if inner == 2 {
@@ -230,7 +232,7 @@ func TestNestedPanicErrorPassesThrough(t *testing.T) {
 func TestNilCtx(t *testing.T) {
 	var ran atomic.Int32
 	//lint:ignore SA1012 deliberate nil-ctx robustness check
-	if err := ForWorkerCtx(nil, 4, 2, func(w, i int) { ran.Add(1) }); err != nil || ran.Load() != 4 {
+	if err := Run(nil, 4, 2, func(w, i int) { ran.Add(1) }); err != nil || ran.Load() != 4 {
 		t.Fatalf("nil ctx: err=%v ran=%d", err, ran.Load())
 	}
 }

@@ -1,7 +1,7 @@
 // Package parallel provides the small worker-pool primitive shared by
 // the batch evaluation engines in internal/stochastic and
 // internal/core: a deterministic-by-index parallel for-loop sized to
-// the machine, with panic containment and context-aware variants for
+// the machine, with panic containment, and a context-aware Run for
 // long-running sweeps that must stop at an item boundary.
 package parallel
 
@@ -16,9 +16,9 @@ import (
 
 // PanicError is the typed error a panicking work item surfaces as: the
 // panic value plus the worker and item index it was raised on, and the
-// stack captured at the panic site. For and ForWorker re-raise it on
-// the calling goroutine (so a worker panic never crashes the process
-// ungoverned); ForCtx and ForWorkerCtx return it as an ordinary error.
+// stack captured at the panic site. For re-raises it on the calling
+// goroutine (so a worker panic never crashes the process ungoverned);
+// Run returns it as an ordinary error.
 type PanicError struct {
 	// Worker and Index attribute the panic to the pool goroutine and
 	// the dispatch index it was processing.
@@ -35,8 +35,8 @@ func (e *PanicError) Error() string {
 }
 
 // Unwrap exposes a panic value that is itself an error (the chaos
-// engine's injected engine.ChaosPanic, a re-raised runtime error) to
-// errors.Is/As chains.
+// fixture's injected enginetest.ChaosPanic, a re-raised runtime
+// error) to errors.Is/As chains.
 func (e *PanicError) Unwrap() error {
 	if err, ok := e.Value.(error); ok {
 		return err
@@ -80,9 +80,10 @@ func Workers(n int) int {
 	return w
 }
 
-// For runs fn(i) for every i in [0, n) on a Workers(n)-sized pool.
-// Indices are handed out through an atomic counter, so the assignment
-// of indices to workers is scheduling-dependent — fn must derive any
+// For runs fn(i) for every i in [0, n) on a Workers(n)-sized pool —
+// the primitive the engine-less batch evaluators fan out on. Indices
+// are handed out through an atomic counter, so the assignment of
+// indices to workers is scheduling-dependent — fn must derive any
 // randomness from i alone (not from worker identity) for results to
 // be reproducible. For returns once every call has completed. A
 // non-positive n returns immediately without spawning goroutines.
@@ -92,44 +93,34 @@ func Workers(n int) int {
 // once every worker has stopped the panic is re-raised on the caller
 // as a *PanicError naming the worker and index.
 func For(n int, fn func(i int)) {
-	ForWorker(n, 0, func(_, i int) { fn(i) })
-}
-
-// ForWorker is For with the executing worker's pool index (in
-// [0, workers)) passed alongside the item index. Each worker index
-// belongs to exactly one goroutine for the duration of the call, so
-// fn may use it to address per-worker scratch without synchronization
-// — keeping allocations O(workers) instead of O(items). Callers that
-// pre-size scratch pass the same `workers` they sized it for (clamped
-// to [1, n]); workers <= 0 means Workers(n). The caller-supplied
-// count is what makes the scratch contract race-free: sizing from a
-// separate Workers call could disagree with the pool if GOMAXPROCS
-// moved in between. The scheduling caveat of For still applies: which
-// worker runs which item is nondeterministic, so scratch must carry
-// no state between items that affects results. Non-positive n returns
-// immediately; panics re-raise on the caller as *PanicError (see For).
-func ForWorker(n, workers int, fn func(worker, i int)) {
 	var stop atomic.Bool
-	if _, pe := forWorker(&stop, n, workers, fn); pe != nil {
+	if _, pe := forWorker(&stop, n, 0, func(_, i int) { fn(i) }); pe != nil {
 		panic(pe)
 	}
 }
 
-// ForCtx is For with cooperative cancellation: once ctx is done, no
-// new items are handed out and ForCtx returns ctx.Err() after the
-// in-flight items finish — the sweep stops at an item boundary, never
-// mid-item. Items that were not dispatched are skipped, so on a
-// non-nil error the results are partial; callers that need to know
-// which items ran track completion per index (engine.RunCtx does).
-// A panicking item is returned as a *PanicError instead of re-raised.
-// Returns nil once every item has completed.
-func ForCtx(ctx context.Context, n int, fn func(i int)) error {
-	return ForWorkerCtx(ctx, n, 0, func(_, i int) { fn(i) })
-}
-
-// ForWorkerCtx is ForWorker with the cancellation and panic-to-error
-// semantics of ForCtx.
-func ForWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int)) error {
+// Run is the cancellable, worker-aware dispatch the word-parallel
+// engine is built on. fn receives the executing worker's pool index
+// (in [0, workers)) alongside the item index. Each worker index
+// belongs to exactly one goroutine for the duration of the call, so fn
+// may use it to address per-worker scratch without synchronization —
+// keeping allocations O(workers) instead of O(items). Callers that
+// pre-size scratch pass the same `workers` they sized it for (clamped
+// to [1, n]); workers <= 0 means Workers(n). The caller-supplied count
+// is what makes the scratch contract race-free: sizing from a separate
+// Workers call could disagree with the pool if GOMAXPROCS moved in
+// between. Which worker runs which item is nondeterministic, so
+// scratch must carry no state between items that affects results.
+//
+// Once ctx is done, no new items are handed out and Run returns
+// ctx.Err() after the in-flight items finish — the sweep stops at an
+// item boundary, never mid-item. Items that were not dispatched are
+// skipped, so on a non-nil error the results are partial; callers that
+// need to know which items ran track completion per index
+// (engine.RunPartial does). A panicking item is returned as a
+// *PanicError (the lowest index when several race). Returns nil once
+// every item has completed; a nil ctx means context.Background().
+func Run(ctx context.Context, n, workers int, fn func(worker, i int)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -32,12 +33,14 @@ func TestForWorkerCoversAllIndicesWithValidWorkers(t *testing.T) {
 				maxWorker = n
 			}
 			var bad atomic.Int32
-			ForWorker(n, workers, func(worker, i int) {
+			if err := Run(context.Background(), n, workers, func(worker, i int) {
 				if worker < 0 || worker >= maxWorker {
 					bad.Add(1)
 				}
 				counts[i].Add(1)
-			})
+			}); err != nil {
+				t.Fatal(err)
+			}
 			if bad.Load() != 0 {
 				t.Fatalf("n=%d workers=%d: %d calls with worker outside [0,%d)",
 					n, workers, bad.Load(), maxWorker)
@@ -58,9 +61,11 @@ func TestForWorkerScratchExclusive(t *testing.T) {
 	const n = 200
 	workers := Workers(n)
 	scratch := make([][]int, workers)
-	ForWorker(n, workers, func(worker, i int) {
+	if err := Run(context.Background(), n, workers, func(worker, i int) {
 		scratch[worker] = append(scratch[worker], i)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	total := 0
 	for _, s := range scratch {
 		total += len(s)

@@ -77,7 +77,7 @@ func (s *Server) handleBER(w http.ResponseWriter, r *http.Request) {
 
 	ck := cacheKey("ber", configString("powers", powers, "bits", req.Bits), req.Seed, len(powers))
 	s.runCached(w, r, ck, req.TimeoutMS, func(ctx context.Context) (entry, error) {
-		pts, err := transient.BERWaterfallCtx(ctx, s.eng, base, powers, req.Bits, req.Seed)
+		pts, err := transient.BERWaterfall(ctx, s.eng, base, powers, req.Bits, req.Seed)
 		if err != nil {
 			return entry{}, err
 		}
@@ -261,7 +261,7 @@ func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
 // the client's retry after restart resumes instead of restarting.
 func (s *Server) runYield(ctx context.Context, study dse.YieldStudy, key dse.CheckpointKey) ([]dse.YieldPoint, error) {
 	if s.cfg.CheckpointDir == "" {
-		return study.RunCtx(ctx, s.eng)
+		return study.Run(ctx, s.eng)
 	}
 	path := filepath.Join(s.cfg.CheckpointDir, "yield-"+key.Hash()[:16]+".json")
 	cp := dse.NewCheckpointer[core.DieOutcome](path, s.cfg.CheckpointEvery, key)
@@ -280,7 +280,7 @@ func (s *Server) runYield(ctx context.Context, study dse.YieldStudy, key dse.Che
 func (s *Server) runYieldShard(ctx context.Context, study dse.YieldStudy, key dse.CheckpointKey, k, n int) ([]*core.DieOutcome, error) {
 	sh := engine.Shard{K: k, N: n, Inner: s.eng}
 	if s.cfg.CheckpointDir == "" {
-		dies, err := dse.SweepCtx(ctx, sh, key.N, study.Die)
+		dies, err := dse.Sweep(ctx, sh, key.N, func(i int) (core.DieOutcome, error) { return study.Die(i), nil })
 		out := make([]*core.DieOutcome, key.N)
 		var p *engine.Partial
 		switch {

@@ -6,11 +6,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/engine/enginetest"
 )
 
 // TestConcurrentRequestsNeverTorn hammers a deliberately tiny server
@@ -173,5 +177,55 @@ func TestConcurrentCacheAccess(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Errorf("cached read failed: %s", e)
+	}
+}
+
+// TestFigureRequestsHonorSlotCap: a figure request dispatches its
+// sweeps on the server's engine, through the shared slot cap. With one
+// slot, POST /v1/figures/6a must reach the configured engine with the
+// grid's GridN² dispatch, never run more than one item at a time, and
+// finish — a sweep nested inside a sweep point that dispatched on the
+// same slot-limited engine would deadlock here instead.
+func TestFigureRequestsHonorSlotCap(t *testing.T) {
+	rec := &enginetest.Recorder{Inner: engine.WordParallel}
+	s := New(Config{Engine: rec, Slots: 1})
+	lim, ok := s.Engine().(*engine.Limited)
+	if !ok {
+		t.Fatalf("server engine is %T, want *engine.Limited", s.Engine())
+	}
+
+	stop := make(chan struct{})
+	sampled := make(chan int)
+	go func() {
+		peak := 0
+		for {
+			select {
+			case <-stop:
+				sampled <- peak
+				return
+			default:
+				peak = max(peak, lim.InFlight())
+				runtime.Gosched()
+			}
+		}
+	}()
+	done := make(chan *httptest.ResponseRecorder)
+	for _, key := range []string{"6a", "7a", "edge"} {
+		go func() { done <- post(s, "/v1/figures/"+key, `{"grid":4,"sweep":5}`) }()
+		select {
+		case resp := <-done:
+			if resp.Code != http.StatusOK {
+				t.Fatalf("POST /v1/figures/%s = %d: %s", key, resp.Code, resp.Body.String())
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("POST /v1/figures/%s did not finish on a 1-slot engine (nested dispatch deadlock?)", key)
+		}
+	}
+	close(stop)
+	if peak := <-sampled; peak > 1 {
+		t.Errorf("%d items in flight on a 1-slot engine", peak)
+	}
+	if !slices.Contains(rec.Dispatches(), 4*4) {
+		t.Errorf("the 4x4 Fig 6(a) grid never reached the configured engine; dispatch sizes %v", rec.Dispatches())
 	}
 }

@@ -98,14 +98,14 @@ func (s *Server) handleImage(w http.ResponseWriter, r *http.Request) {
 		var jerr error
 		switch op {
 		case "gamma":
-			frames, ferr := img.GammaVideoCtx(ctx, s.eng, []*img.Gray{src},
+			frames, ferr := img.GammaVideo(ctx, s.eng, []*img.Gray{src},
 				req.Gamma, req.Degree, req.SpacingNM, req.StreamLen, req.Seed, &s.lut)
 			if ferr != nil {
 				return entry{}, ferr
 			}
 			out, exact = frames[0], img.GammaExact(src, req.Gamma)
 		case "edge":
-			out, jerr = img.RobertsCrossSCOn(s.eng, src, req.StreamLen, req.Seed)
+			out, jerr = img.RobertsCrossSC(ctx, s.eng, src, req.StreamLen, req.Seed)
 			if jerr != nil {
 				return entry{}, jerr
 			}

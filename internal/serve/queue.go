@@ -122,11 +122,14 @@ func (q *Queue) Do(ctx context.Context, run func(ctx context.Context) error) err
 		q.mu.Unlock()
 		return ErrDraining
 	}
+	// Count the job before it becomes visible to a worker, which may
+	// finish it (and call jobWG.Done) before the send returns here.
+	q.jobWG.Add(1)
 	select {
 	case q.jobs <- j:
-		q.jobWG.Add(1)
 		q.mu.Unlock()
 	default:
+		q.jobWG.Done()
 		q.mu.Unlock()
 		return ErrQueueFull
 	}

@@ -18,9 +18,9 @@ import (
 // Config shapes a Server. The zero value is usable: every field has a
 // production default.
 type Config struct {
-	// Engine dispatches every sweep; nil means engine.Default(). The
-	// server wraps it in an engine.Limited shared across all jobs, so
-	// concurrent requests never oversubscribe the machine.
+	// Engine dispatches every sweep; nil means engine.WordParallel.
+	// The server wraps it in an engine.Limited shared across all jobs,
+	// so concurrent requests never oversubscribe the machine.
 	Engine engine.Engine
 	// Slots caps concurrently running work items across all jobs
 	// (default GOMAXPROCS).
@@ -49,7 +49,7 @@ type Config struct {
 // withDefaults resolves the zero fields.
 func (c Config) withDefaults() Config {
 	if c.Engine == nil {
-		c.Engine = engine.Default()
+		c.Engine = engine.WordParallel
 	}
 	if c.Slots < 1 {
 		c.Slots = runtime.GOMAXPROCS(0)

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/engine/enginetest"
 	"repro/internal/figures"
 	img "repro/internal/image"
 )
@@ -163,7 +164,7 @@ func TestBERWaterfall(t *testing.T) {
 // on a fault-injecting engine (drops, delays) must answer every request
 // with bytes identical to a server on engine.Serial.
 func TestChaosByteIdentity(t *testing.T) {
-	chaos := engine.NewChaos("serve-chaos", engine.WordParallel, 42, engine.ChaosSpec{
+	chaos := enginetest.NewChaos("serve-chaos", engine.WordParallel, 42, enginetest.ChaosSpec{
 		DropProb:  0.4,
 		DelayProb: 0.3,
 		Delay:     100 * time.Microsecond,
@@ -213,11 +214,8 @@ func (f *flipEngine) pick() engine.Engine {
 
 func (f *flipEngine) Name() string      { return "flip" }
 func (f *flipEngine) Workers(n int) int { return 1 }
-func (f *flipEngine) For(n int, fn func(i int)) {
-	f.pick().For(n, fn)
-}
-func (f *flipEngine) ForWorker(n, workers int, fn func(worker, i int)) {
-	f.pick().ForWorker(n, workers, fn)
+func (f *flipEngine) Run(ctx context.Context, n, workers int, fn func(worker, i int)) error {
+	return f.pick().Run(ctx, n, workers, fn)
 }
 
 // TestPanicIsolation: a panicking work item turns into a typed 500
@@ -225,7 +223,7 @@ func (f *flipEngine) ForWorker(n, workers int, fn func(worker, i int)) {
 func TestPanicIsolation(t *testing.T) {
 	const panicAt = 1
 	flip := &flipEngine{
-		first: engine.NewChaos("boom", engine.Serial, 1, engine.ChaosSpec{Panic: true, PanicAt: panicAt}),
+		first: enginetest.NewChaos("boom", engine.Serial, 1, enginetest.ChaosSpec{Panic: true, PanicAt: panicAt}),
 		rest:  engine.Serial,
 	}
 	s := New(Config{Engine: flip})
@@ -256,9 +254,8 @@ func TestPanicIsolation(t *testing.T) {
 }
 
 // slowEngine stretches every work item so short deadlines reliably
-// expire mid-sweep. It deliberately does NOT implement CtxEngine: the
-// package-level adapters poll the context at item boundaries around
-// its plain dispatch, which is the path third-party engines take.
+// expire mid-sweep; cancellation is the inner engine's, observed at
+// item boundaries.
 type slowEngine struct {
 	inner engine.Engine
 	delay time.Duration
@@ -266,11 +263,8 @@ type slowEngine struct {
 
 func (s slowEngine) Name() string      { return "slow" }
 func (s slowEngine) Workers(n int) int { return s.inner.Workers(n) }
-func (s slowEngine) For(n int, fn func(i int)) {
-	s.inner.For(n, func(i int) { time.Sleep(s.delay); fn(i) })
-}
-func (s slowEngine) ForWorker(n, workers int, fn func(worker, i int)) {
-	s.inner.ForWorker(n, workers, func(w, i int) { time.Sleep(s.delay); fn(w, i) })
+func (s slowEngine) Run(ctx context.Context, n, workers int, fn func(worker, i int)) error {
+	return s.inner.Run(ctx, n, workers, func(w, i int) { time.Sleep(s.delay); fn(w, i) })
 }
 
 // TestDeadline: an expired per-request deadline surfaces as 504 with
@@ -517,8 +511,8 @@ func TestErrorStatusMapping(t *testing.T) {
 // chaosPanicError produces a real *parallel.PanicError the way a
 // dispatch would: by capturing an injected panic.
 func chaosPanicError(index int) error {
-	chaos := engine.NewChaos("one-panic", engine.Serial, 1, engine.ChaosSpec{Panic: true, PanicAt: index})
-	err := engine.ForCtx(context.Background(), chaos, index+1, func(i int) {})
+	chaos := enginetest.NewChaos("one-panic", engine.Serial, 1, enginetest.ChaosSpec{Panic: true, PanicAt: index})
+	err := chaos.Run(context.Background(), index+1, 0, func(int, int) {})
 	if err == nil {
 		panic("chaos did not panic")
 	}

@@ -42,24 +42,23 @@
 // # Word-parallel measurements
 //
 // Every measurement on top of the simulator follows the same pattern:
-// an engine-dispatched entry point XOn(e engine.Engine, ...) whose
-// randomness derives from item indices, a bare X running on the
-// process-default engine, and an XSerial shim on engine.Serial — all
-// bit-identical across engines on any core count, pinned by this
-// package's internal/engine/enginetest suite.
+// one engine-dispatched entry point X(ctx, e, ...) whose randomness
+// derives from item indices — bit-identical across engines on any core
+// count (engine.Serial is the oracle), pinned by this package's
+// internal/engine/enginetest suite.
 //
-//   - TraceOn (Trace / TraceSerial) — the pulse-gated waveform
-//     written over core.Unit.Cycles (64 decoded cycles per SNG word
-//     draw) with per-slot block noise fills.
-//   - MeasureEyeOn (MeasureEye / MeasureEyeSerial) — decision-instant
-//     statistics over the same decoded-cycle visitor.
-//   - SyncSweepOn (SyncSweep / SyncSweepSerial) — sampling offsets
-//     fanned over the engine with per-offset derived noise seeds.
-//   - BERWaterfallOn (BERWaterfall / BERWaterfallSerial) —
-//     probe-power points fanned over the engine, each rebuilding its
-//     circuit with per-point derived unit and simulator seeds.
-//   - AccuracyVsLengthOn (AccuracyVsLength / AccuracyVsLengthSerial)
-//     — (length, trial) pairs fanned over the engine with per-trial
-//     derived seeds; it does not advance the simulator's generators,
-//     so repeated calls return identical points.
+//   - Trace — the pulse-gated waveform written over core.Unit.Cycles
+//     (64 decoded cycles per SNG word draw) with per-slot block noise
+//     fills.
+//   - MeasureEye — decision-instant statistics over the same
+//     decoded-cycle visitor.
+//   - SyncSweep — sampling offsets fanned over the engine with
+//     per-offset derived noise seeds.
+//   - BERWaterfall — probe-power points fanned over the engine, each
+//     rebuilding its circuit with per-point derived unit and simulator
+//     seeds.
+//   - AccuracyVsLength — (length, trial) pairs fanned over the engine
+//     with per-trial derived seeds; it does not advance the
+//     simulator's generators, so repeated calls return identical
+//     points.
 package transient

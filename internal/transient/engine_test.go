@@ -12,64 +12,50 @@ import (
 
 // TestEngineSuite registers every engine-accepting entry point of this
 // package into the generic cross-engine equivalence and
-// GOMAXPROCS-determinism suite. This one registration replaces the
-// former per-path MatchesSerialOracle / DeterministicAcrossGOMAXPROCS
-// tests: every engine in engine.All() — including ones registered
-// later — must reproduce the engine.Serial reference bit-identically.
+// GOMAXPROCS-determinism suite: every engine in enginetest.Engines()
+// must reproduce the engine.Serial reference bit-identically.
 func TestEngineSuite(t *testing.T) {
+	ctx := context.Background()
 	base, powers := waterfallPowers(t)
 	enginetest.Run(t, nil, []enginetest.Case{
 		{
-			Name: "transient.AccuracyVsLengthOn",
+			Name: "transient.AccuracyVsLength",
 			Eval: func(e engine.Engine) (any, error) {
 				s := newTestSim(t, 0, 80)
 				// Degenerate lengths (0, duplicates of word edges)
 				// exercise the valid-length filter.
-				return s.AccuracyVsLengthOn(e, 0.5, []int{1, 63, 64, 0, 65, 300}, 5)
+				return s.AccuracyVsLength(ctx, e, 0.5, []int{1, 63, 64, 0, 65, 300}, 5)
 			},
 		},
 		{
-			Name: "transient.BERWaterfallOn",
+			Name: "transient.BERWaterfall",
 			Eval: func(e engine.Engine) (any, error) {
-				return BERWaterfallOn(e, base, powers, 20_000, 41)
+				return BERWaterfall(ctx, e, base, powers, 20_000, 41)
 			},
 		},
 		{
-			Name: "transient.TraceOn",
+			Name: "transient.Simulator.Trace",
 			Eval: func(e engine.Engine) (any, error) {
 				// Fresh simulator per call: the trace advances the
 				// unit SNGs and the noise stream.
 				s := newTestSim(t, 0, 75)
-				return s.TraceOn(e, 0.5, 65, 4)
+				return s.Trace(ctx, e, 0.5, 65, 4)
 			},
 		},
 		{
-			Name: "transient.MeasureEyeOn",
+			Name: "transient.Simulator.MeasureEye",
 			Eval: func(e engine.Engine) (any, error) {
 				s := newTestSim(t, 0, 72)
-				return s.MeasureEyeOn(e, 0.5, 1000), nil
+				return s.MeasureEye(ctx, e, 0.5, 1000)
 			},
 		},
 		{
-			Name: "transient.SyncSweepOn",
+			Name: "transient.Simulator.SyncSweep",
 			Eval: func(e engine.Engine) (any, error) {
 				// Noisy link so per-slot decisions actually flip; odd
 				// counts exercise partial noise blocks.
 				s := newTestSim(t, 0.02, 93)
-				return s.SyncSweepOn(e, 13, 997), nil
-			},
-		},
-		{
-			Name: "transient.AccuracyVsLengthCtx",
-			Eval: func(e engine.Engine) (any, error) {
-				s := newTestSim(t, 0, 80)
-				return s.AccuracyVsLengthCtx(context.Background(), e, 0.5, []int{64, 128}, 3)
-			},
-		},
-		{
-			Name: "transient.BERWaterfallCtx",
-			Eval: func(e engine.Engine) (any, error) {
-				return BERWaterfallCtx(context.Background(), e, base, powers, 10_000, 41)
+				return s.SyncSweep(ctx, e, 13, 997)
 			},
 		},
 	})
@@ -81,7 +67,7 @@ func TestWaterfallCtxCancellation(t *testing.T) {
 	base, powers := waterfallPowers(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := BERWaterfallCtx(ctx, engine.WordParallel, base, powers, 1000, 41)
+	_, err := BERWaterfall(ctx, engine.WordParallel, base, powers, 1000, 41)
 	var p *engine.Partial
 	if !errors.As(err, &p) {
 		t.Fatalf("err = %v (%T), want *engine.Partial", err, err)
@@ -91,88 +77,61 @@ func TestWaterfallCtxCancellation(t *testing.T) {
 	}
 }
 
-// TestSerialShims pins the X / XSerial surface onto the engine layer:
-// each XSerial is exactly XOn on engine.Serial, and each X is XOn on
-// the process default — so callers of the legacy names inherit the
-// suite's guarantees.
+// TestSerialShims pins the serial oracle onto the engine layer: each
+// entry point on engine.Serial equals the word-parallel run.
 func TestSerialShims(t *testing.T) {
+	ctx := context.Background()
 	base, powers := waterfallPowers(t)
-
-	sA, sB := newTestSim(t, 0, 80), newTestSim(t, 0, 80)
-	accSerial, err := sA.AccuracyVsLengthSerial(0.5, []int{64, 256}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := sB.AccuracyVsLength(0.5, []int{64, 256}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(accSerial, acc) {
-		t.Errorf("AccuracyVsLengthSerial %+v vs AccuracyVsLength %+v", accSerial, acc)
-	}
-
-	wfSerial, err := BERWaterfallSerial(base, powers, 5_000, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wf, err := BERWaterfall(base, powers, 5_000, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wfSerial, wf) {
-		t.Errorf("BERWaterfallSerial %+v vs BERWaterfall %+v", wfSerial, wf)
-	}
-
-	trSerial, err := newTestSim(t, 0, 75).TraceSerial(0.5, 65, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := newTestSim(t, 0, 75).Trace(0.5, 65, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(trSerial, tr) {
-		t.Error("TraceSerial and Trace diverge")
-	}
-
-	eyeSerial := newTestSim(t, 0, 72).MeasureEyeSerial(0.5, 1000)
-	eye := newTestSim(t, 0, 72).MeasureEye(0.5, 1000)
-	if eyeSerial != eye {
-		t.Errorf("MeasureEyeSerial %+v vs MeasureEye %+v", eyeSerial, eye)
-	}
-
-	syncSerial := newTestSim(t, 0.02, 93).SyncSweepSerial(13, 997)
-	sync := newTestSim(t, 0.02, 93).SyncSweep(13, 997)
-	if !reflect.DeepEqual(syncSerial, sync) {
-		t.Error("SyncSweepSerial and SyncSweep diverge")
-	}
-}
-
-// TestNilEngineMisuse: error-returning entry points reject a nil
-// engine cleanly; value-returning ones panic with the engine package's
-// guidance, matching engine.Use.
-func TestNilEngineMisuse(t *testing.T) {
-	s := newTestSim(t, 0, 99)
-	if _, err := s.AccuracyVsLengthOn(nil, 0.5, []int{64}, 1); err == nil {
-		t.Error("AccuracyVsLengthOn(nil) did not error")
-	}
-	base, powers := waterfallPowers(t)
-	if _, err := BERWaterfallOn(nil, base, powers, 100, 1); err == nil {
-		t.Error("BERWaterfallOn(nil) did not error")
-	}
-	if _, err := s.TraceOn(nil, 0.5, 4, 2); err == nil {
-		t.Error("TraceOn(nil) did not error")
-	}
-	mustPanic(t, "MeasureEyeOn", func() { s.MeasureEyeOn(nil, 0.5, 16) })
-	mustPanic(t, "SyncSweepOn", func() { s.SyncSweepOn(nil, 4, 16) })
-}
-
-func mustPanic(t *testing.T, name string, f func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("%s(nil engine) did not panic", name)
+	both := func(name string, eval func(e engine.Engine) (any, error)) {
+		t.Helper()
+		serial, err := eval(engine.Serial)
+		if err != nil {
+			t.Fatalf("%s on serial: %v", name, err)
 		}
-	}()
-	f()
+		par, err := eval(engine.WordParallel)
+		if err != nil {
+			t.Fatalf("%s on parallel: %v", name, err)
+		}
+		if !reflect.DeepEqual(serial, par) {
+			t.Errorf("%s: serial %+v vs parallel %+v", name, serial, par)
+		}
+	}
+	both("AccuracyVsLength", func(e engine.Engine) (any, error) {
+		return newTestSim(t, 0, 80).AccuracyVsLength(ctx, e, 0.5, []int{64, 256}, 3)
+	})
+	both("BERWaterfall", func(e engine.Engine) (any, error) {
+		return BERWaterfall(ctx, e, base, powers, 5_000, 41)
+	})
+	both("Trace", func(e engine.Engine) (any, error) {
+		return newTestSim(t, 0, 75).Trace(ctx, e, 0.5, 65, 4)
+	})
+	both("MeasureEye", func(e engine.Engine) (any, error) {
+		return newTestSim(t, 0, 72).MeasureEye(ctx, e, 0.5, 1000)
+	})
+	both("SyncSweep", func(e engine.Engine) (any, error) {
+		return newTestSim(t, 0.02, 93).SyncSweep(ctx, e, 13, 997)
+	})
+}
+
+// TestNilEngineMisuse: every entry point rejects a nil engine with a
+// clean error.
+func TestNilEngineMisuse(t *testing.T) {
+	ctx := context.Background()
+	s := newTestSim(t, 0, 99)
+	if _, err := s.AccuracyVsLength(ctx, nil, 0.5, []int{64}, 1); err == nil {
+		t.Error("AccuracyVsLength(nil) did not error")
+	}
+	base, powers := waterfallPowers(t)
+	if _, err := BERWaterfall(ctx, nil, base, powers, 100, 1); err == nil {
+		t.Error("BERWaterfall(nil) did not error")
+	}
+	if _, err := s.Trace(ctx, nil, 0.5, 4, 2); err == nil {
+		t.Error("Trace(nil) did not error")
+	}
+	if _, err := s.MeasureEye(ctx, nil, 0.5, 16); err == nil {
+		t.Error("MeasureEye(nil) did not error")
+	}
+	if _, err := s.SyncSweep(ctx, nil, 4, 16); err == nil {
+		t.Error("SyncSweep(nil) did not error")
+	}
 }

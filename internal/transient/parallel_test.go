@@ -1,7 +1,9 @@
 package transient
 
 import (
+	"context"
 	"reflect"
+	"repro/internal/engine"
 	"testing"
 
 	"repro/internal/core"
@@ -29,14 +31,14 @@ func waterfallPowers(t testing.TB) (core.Params, []float64) {
 // and interleaved evaluations are unaffected.
 func TestAccuracyVsLengthRepeatable(t *testing.T) {
 	s := newTestSim(t, 0, 82)
-	first, err := s.AccuracyVsLength(0.5, []int{64, 256}, 4)
+	first, err := s.AccuracyVsLength(context.Background(), engine.WordParallel, 0.5, []int{64, 256}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.EvaluateWords(0.5, 128); err != nil {
 		t.Fatal(err)
 	}
-	second, err := s.AccuracyVsLength(0.5, []int{64, 256}, 4)
+	second, err := s.AccuracyVsLength(context.Background(), engine.WordParallel, 0.5, []int{64, 256}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func BenchmarkTraceSerial(b *testing.B) {
 	s := hotSim(b, 5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.TraceSerial(0.5, 1024, 8); err != nil {
+		if _, err := s.Trace(context.Background(), engine.Serial, 0.5, 1024, 8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -59,7 +61,7 @@ func BenchmarkTrace(b *testing.B) {
 	s := hotSim(b, 5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Trace(0.5, 1024, 8); err != nil {
+		if _, err := s.Trace(context.Background(), engine.WordParallel, 0.5, 1024, 8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -69,7 +71,7 @@ func BenchmarkBERWaterfallSerial(b *testing.B) {
 	base, powers := waterfallPowers(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := BERWaterfallSerial(base, powers, 20_000, 7); err != nil {
+		if _, err := BERWaterfall(context.Background(), engine.Serial, base, powers, 20_000, 7); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,7 +81,7 @@ func BenchmarkBERWaterfall(b *testing.B) {
 	base, powers := waterfallPowers(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := BERWaterfall(base, powers, 20_000, 7); err != nil {
+		if _, err := BERWaterfall(context.Background(), engine.WordParallel, base, powers, 20_000, 7); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -89,7 +91,7 @@ func BenchmarkAccuracyVsLengthSerial(b *testing.B) {
 	s := hotSim(b, 5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.AccuracyVsLengthSerial(0.5, []int{256, 1024}, 8); err != nil {
+		if _, err := s.AccuracyVsLength(context.Background(), engine.Serial, 0.5, []int{256, 1024}, 8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -99,7 +101,7 @@ func BenchmarkAccuracyVsLength(b *testing.B) {
 	s := hotSim(b, 5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.AccuracyVsLength(0.5, []int{256, 1024}, 8); err != nil {
+		if _, err := s.AccuracyVsLength(context.Background(), engine.WordParallel, 0.5, []int{256, 1024}, 8); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,9 @@
 package transient
 
 import (
+	"context"
 	"math"
+	"repro/internal/engine"
 	"testing"
 
 	"repro/internal/core"
@@ -103,7 +105,7 @@ func TestNoisyEvaluationStillConverges(t *testing.T) {
 
 func TestAccuracyVsLengthTradeoff(t *testing.T) {
 	s := newTestSim(t, 0, 33)
-	pts, err := s.AccuracyVsLength(0.5, []int{64, 256, 1024, 4096}, 40)
+	pts, err := s.AccuracyVsLength(context.Background(), engine.WordParallel, 0.5, []int{64, 256, 1024, 4096}, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +134,7 @@ func TestAccuracyVsLengthTradeoff(t *testing.T) {
 
 func TestAccuracyVsLengthDegenerate(t *testing.T) {
 	s := newTestSim(t, 0, 40)
-	pts, err := s.AccuracyVsLength(0.5, []int{0, -5, 16}, 0)
+	pts, err := s.AccuracyVsLength(context.Background(), engine.WordParallel, 0.5, []int{0, -5, 16}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +150,7 @@ func TestNoiseDegradesAccuracy(t *testing.T) {
 	noisy.SigmaMW = 0.25 // comparable to the eye opening
 
 	rmse := func(s *Simulator) float64 {
-		pts, err := s.AccuracyVsLength(0.5, []int{512}, 60)
+		pts, err := s.AccuracyVsLength(context.Background(), engine.WordParallel, 0.5, []int{512}, 60)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package transient
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -116,7 +117,7 @@ func (s *Simulator) offsetNoise(k int) *Gaussian {
 	return NewGaussian(stochastic.NewSplitMix64(stochastic.DeriveSeed(s.seed^syncSalt, k)))
 }
 
-// SyncSweepOn quantifies the synchronization requirement the paper's
+// SyncSweep quantifies the synchronization requirement the paper's
 // §V.D raises for pulse-based pumps: the filter is only tuned while
 // the 26 ps pulse is present, so a detector sampling outside the
 // pulse window sees the relaxed (untuned) filter and the computation
@@ -134,31 +135,21 @@ func (s *Simulator) offsetNoise(k int) *Gaussian {
 // simulator's seed and the offset index alone, so the sweep is
 // bit-identical on every conforming engine and deterministic on any
 // core count. It does not advance the simulator's serial noise
-// stream. A nil engine panics (this entry point has no error return).
-func (s *Simulator) SyncSweepOn(e engine.Engine, points, bits int) []SyncPoint {
-	engine.Use(e)
+// stream. An interruption surfaces the *engine.Partial; a nil engine
+// is an error.
+func (s *Simulator) SyncSweep(ctx context.Context, e engine.Engine, points, bits int) ([]SyncPoint, error) {
 	if points < 2 {
 		points = 2
 	}
 	l := s.syncLevels()
 	sigma := s.SigmaMW
 	out := make([]SyncPoint, points)
-	e.For(points, func(k int) {
+	if err := engine.RunPartial(ctx, e, points, func(k int) {
 		out[k] = l.point(k, points, bits, s.offsetNoise(k), sigma)
-	})
-	return out
-}
-
-// SyncSweep is SyncSweepOn on the process-default engine.
-func (s *Simulator) SyncSweep(points, bits int) []SyncPoint {
-	return s.SyncSweepOn(engine.Default(), points, bits)
-}
-
-// SyncSweepSerial is the retained serial oracle for SyncSweep: the
-// same per-offset derived noise generators, offsets walked in order
-// on the calling goroutine via engine.Serial.
-func (s *Simulator) SyncSweepSerial(points, bits int) []SyncPoint {
-	return s.SyncSweepOn(engine.Serial, points, bits)
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // relaxedPower returns the received power with the filter at its

@@ -1,6 +1,8 @@
 package transient
 
 import (
+	"context"
+	"repro/internal/engine"
 	"testing"
 
 	"repro/internal/core"
@@ -14,7 +16,7 @@ func TestBERWaterfallTracksAnalytic(t *testing.T) {
 	p1 := c.MinProbePowerMW(1e-1)
 	p4 := c.MinProbePowerMW(1e-4)
 	powers := []float64{p1, (p1 + p4) / 2, p4}
-	pts, err := BERWaterfall(base, powers, 300_000, 17)
+	pts, err := BERWaterfall(context.Background(), engine.WordParallel, base, powers, 300_000, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,15 +47,15 @@ func TestBERWaterfallTracksAnalytic(t *testing.T) {
 
 func TestBERWaterfallErrors(t *testing.T) {
 	base := core.PaperParams()
-	if _, err := BERWaterfall(base, []float64{1}, 0, 1); err == nil {
+	if _, err := BERWaterfall(context.Background(), engine.WordParallel, base, []float64{1}, 0, 1); err == nil {
 		t.Error("zero bits accepted")
 	}
-	if _, err := BERWaterfall(base, []float64{-1}, 100, 1); err == nil {
+	if _, err := BERWaterfall(context.Background(), engine.WordParallel, base, []float64{-1}, 100, 1); err == nil {
 		t.Error("negative power accepted")
 	}
 	bad := base
 	bad.Order = 0
-	if _, err := BERWaterfall(bad, []float64{1}, 100, 1); err == nil {
+	if _, err := BERWaterfall(context.Background(), engine.WordParallel, bad, []float64{1}, 100, 1); err == nil {
 		t.Error("invalid params accepted")
 	}
 }
@@ -69,7 +71,7 @@ func TestBERWaterfallAgainstEq9RoundTrip(t *testing.T) {
 	c := core.MustCircuit(base)
 	target := 1e-2
 	power := c.MinProbePowerMW(target)
-	pts, err := BERWaterfall(base, []float64{power}, 400_000, 23)
+	pts, err := BERWaterfall(context.Background(), engine.WordParallel, base, []float64{power}, 400_000, 23)
 	if err != nil {
 		t.Fatal(err)
 	}

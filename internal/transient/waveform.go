@@ -1,6 +1,7 @@
 package transient
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -107,7 +108,7 @@ func (s *Simulator) traceWalk(x float64, bits, samplesPerBit int) ([]TracePoint,
 	return out, nil
 }
 
-// TraceOn simulates `bits` slots at input probability x with
+// Trace simulates `bits` slots at input probability x with
 // samplesPerBit time samples each and returns the waveform. The pump
 // fires at the start of each slot; detection is gated to the pulse
 // window, after which the filter relaxes and the received power is
@@ -121,10 +122,7 @@ func (s *Simulator) traceWalk(x float64, bits, samplesPerBit int) ([]TracePoint,
 // no waveform), matching the length <= 0 contract of the evaluation
 // entry points; samplesPerBit is clamped to at least 2; a nil engine
 // is an error.
-func (s *Simulator) TraceOn(e engine.Engine, x float64, bits, samplesPerBit int) ([]TracePoint, error) {
-	if err := engine.Check(e); err != nil {
-		return nil, err
-	}
+func (s *Simulator) Trace(ctx context.Context, e engine.Engine, x float64, bits, samplesPerBit int) ([]TracePoint, error) {
 	if bits <= 0 {
 		return nil, fmt.Errorf("transient: trace needs bits >= 1, got %d", bits)
 	}
@@ -133,21 +131,12 @@ func (s *Simulator) TraceOn(e engine.Engine, x float64, bits, samplesPerBit int)
 	}
 	var out []TracePoint
 	var walkErr error
-	e.For(1, func(int) {
+	if err := engine.RunPartial(ctx, e, 1, func(int) {
 		out, walkErr = s.traceWalk(x, bits, samplesPerBit)
-	})
+	}); err != nil {
+		return nil, err
+	}
 	return out, walkErr
-}
-
-// Trace is TraceOn on the process-default engine.
-func (s *Simulator) Trace(x float64, bits, samplesPerBit int) ([]TracePoint, error) {
-	return s.TraceOn(engine.Default(), x, bits, samplesPerBit)
-}
-
-// TraceSerial is the retained serial oracle for Trace: the same walk
-// on engine.Serial.
-func (s *Simulator) TraceSerial(x float64, bits, samplesPerBit int) ([]TracePoint, error) {
-	return s.TraceOn(engine.Serial, x, bits, samplesPerBit)
 }
 
 // EyeStats summarizes the gated received-power samples of a run,
@@ -237,33 +226,26 @@ func (s *Simulator) eyeWalk(x float64, bits int) EyeStats {
 	return acc.stats()
 }
 
-// MeasureEyeOn runs `bits` noisy slots at input probability x and
-// aggregates the decision-instant statistics. Like TraceOn, the
+// MeasureEye runs `bits` noisy slots at input probability x and
+// aggregates the decision-instant statistics. Like Trace, the
 // measurement consumes the simulator's single sequential noise
 // stream, so the walk is dispatched as one work item on the given
 // engine and every conforming engine emits identical statistics. A
-// nil engine panics (this entry point has no error return).
-func (s *Simulator) MeasureEyeOn(e engine.Engine, x float64, bits int) EyeStats {
-	engine.Use(e)
+// nil engine is an error.
+func (s *Simulator) MeasureEye(ctx context.Context, e engine.Engine, x float64, bits int) (EyeStats, error) {
+	if err := engine.Check(e); err != nil {
+		return EyeStats{}, err
+	}
 	if bits <= 0 {
-		return newEyeAccum().stats()
+		return newEyeAccum().stats(), nil
 	}
 	var stats EyeStats
-	e.For(1, func(int) {
+	if err := engine.RunPartial(ctx, e, 1, func(int) {
 		stats = s.eyeWalk(x, bits)
-	})
-	return stats
-}
-
-// MeasureEye is MeasureEyeOn on the process-default engine.
-func (s *Simulator) MeasureEye(x float64, bits int) EyeStats {
-	return s.MeasureEyeOn(engine.Default(), x, bits)
-}
-
-// MeasureEyeSerial is the retained serial oracle for MeasureEye: the
-// same walk on engine.Serial.
-func (s *Simulator) MeasureEyeSerial(x float64, bits int) EyeStats {
-	return s.MeasureEyeOn(engine.Serial, x, bits)
+	}); err != nil {
+		return EyeStats{}, err
+	}
+	return stats, nil
 }
 
 // String implements fmt.Stringer.

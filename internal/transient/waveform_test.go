@@ -1,7 +1,9 @@
 package transient
 
 import (
+	"context"
 	"math"
+	"repro/internal/engine"
 	"strings"
 	"testing"
 )
@@ -9,7 +11,7 @@ import (
 func TestTraceShapeAndGating(t *testing.T) {
 	s := newTestSim(t, 0, 60)
 	bits, spb := 8, 20
-	tr, err := s.Trace(0.5, bits, spb)
+	tr, err := s.Trace(context.Background(), engine.WordParallel, 0.5, bits, spb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +54,7 @@ func TestTraceShapeAndGating(t *testing.T) {
 func TestTraceCWGatesWholeSlot(t *testing.T) {
 	s := newTestSim(t, 0, 61)
 	s.Unit.Circuit.P.PulseWidthS = 0 // CW pump
-	tr, err := s.Trace(0.5, 2, 10)
+	tr, err := s.Trace(context.Background(), engine.WordParallel, 0.5, 2, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestTraceCWGatesWholeSlot(t *testing.T) {
 
 func TestTraceSampleClamping(t *testing.T) {
 	s := newTestSim(t, 0, 62)
-	tr, err := s.Trace(0.5, 1, 1) // clamps to 2 samples per bit
+	tr, err := s.Trace(context.Background(), engine.WordParallel, 0.5, 1, 1) // clamps to 2 samples per bit
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,18 +83,18 @@ func TestTraceSampleClamping(t *testing.T) {
 func TestTraceRejectsBadBits(t *testing.T) {
 	s := newTestSim(t, 0, 64)
 	for _, bits := range []int{0, -3} {
-		if tr, err := s.Trace(0.5, bits, 8); err == nil {
-			t.Errorf("Trace(bits=%d) returned %d points, want error", bits, len(tr))
+		if tr, err := s.Trace(context.Background(), engine.WordParallel, 0.5, bits, 8); err == nil {
+			t.Errorf("Trace(context.Background(), engine.WordParallel, bits=%d) returned %d points, want error", bits, len(tr))
 		}
-		if tr, err := s.TraceSerial(0.5, bits, 8); err == nil {
-			t.Errorf("TraceSerial(bits=%d) returned %d points, want error", bits, len(tr))
+		if tr, err := s.Trace(context.Background(), engine.Serial, 0.5, bits, 8); err == nil {
+			t.Errorf("Trace(context.Background(), engine.Serial, bits=%d) returned %d points, want error", bits, len(tr))
 		}
 	}
 }
 
 func TestMeasureEyeSeparation(t *testing.T) {
 	s := newTestSim(t, 0, 70)
-	e := s.MeasureEye(0.5, 20_000)
+	e := measureEye(t, s, 0.5, 20_000)
 	if e.Count0 == 0 || e.Count1 == 0 {
 		t.Fatalf("eye counts %d/%d", e.Count0, e.Count1)
 	}
@@ -123,7 +125,7 @@ func TestMeasureEyeSeparation(t *testing.T) {
 
 func TestMeasureEyeDegenerateBits(t *testing.T) {
 	s := newTestSim(t, 0, 73)
-	e := s.MeasureEye(0.5, 0)
+	e := measureEye(t, s, 0.5, 0)
 	if e.Count0 != 0 || e.Count1 != 0 {
 		t.Errorf("counts %d/%d for zero bits", e.Count0, e.Count1)
 	}
@@ -132,11 +134,21 @@ func TestMeasureEyeDegenerateBits(t *testing.T) {
 func TestMeasureEyeClosesUnderNoise(t *testing.T) {
 	s := newTestSim(t, 0, 71)
 	s.SigmaMW = 0.5 // noise comparable to the signal swing
-	e := s.MeasureEye(0.5, 5_000)
+	e := measureEye(t, s, 0.5, 5_000)
 	if e.OpeningMW > 0.2 {
 		t.Errorf("eye unexpectedly open (%g) under heavy noise", e.OpeningMW)
 	}
 	if math.IsInf(e.OpeningMW, 0) {
 		t.Error("opening not finite")
 	}
+}
+
+// measureEye runs MeasureEye on the word-parallel engine.
+func measureEye(t *testing.T, s *Simulator, x float64, bits int) EyeStats {
+	t.Helper()
+	e, err := s.MeasureEye(context.Background(), engine.WordParallel, x, bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
