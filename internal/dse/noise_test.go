@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/stattest"
 )
 
 func smallNoiseSpec(t *testing.T) NoiseStudySpec {
@@ -97,10 +98,11 @@ func TestNoiseStudyMeasuredTracksAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rows[0].MeasuredBER / rows[0].AnalyticBER
-	if r < 0.6 || r > 1.6 {
-		t.Errorf("measured %g vs analytic %g (ratio %.2f)", rows[0].MeasuredBER, rows[0].AnalyticBER, r)
+	errs, err := stattest.Count(rows[0].MeasuredBER, spec.BERBits)
+	if err != nil {
+		t.Fatal(err)
 	}
+	stattest.Check(t, "worst-case errors", errs, spec.BERBits, rows[0].AnalyticBER)
 }
 
 func TestNoiseStudyValidation(t *testing.T) {

@@ -2,21 +2,24 @@ package transient
 
 import (
 	"context"
-	"repro/internal/engine"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/stattest"
 )
 
 func TestBERWaterfallTracksAnalytic(t *testing.T) {
 	base := core.PaperParams()
 	// Power range spanning BER ~1e-1 down to ~1e-4: measurable with
 	// 3e5 bits.
+	const bits = 300_000
 	c := core.MustCircuit(base)
 	p1 := c.MinProbePowerMW(1e-1)
 	p4 := c.MinProbePowerMW(1e-4)
 	powers := []float64{p1, (p1 + p4) / 2, p4}
-	pts, err := BERWaterfall(context.Background(), engine.WordParallel, base, powers, 300_000, 17)
+	pts, err := BERWaterfall(context.Background(), engine.WordParallel, base, powers, bits, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,14 +30,14 @@ func TestBERWaterfallTracksAnalytic(t *testing.T) {
 		if p.AnalyticBER <= 0 {
 			t.Fatalf("point %d: analytic %g", i, p.AnalyticBER)
 		}
-		// Measured within a factor 2 of analytic wherever statistics
-		// are meaningful (>= ~30 expected errors).
-		if p.AnalyticBER*300_000 > 30 {
-			ratio := p.MeasuredBER / p.AnalyticBER
-			if ratio < 0.5 || ratio > 2 {
-				t.Errorf("point %d (%.4f mW): measured %g vs analytic %g", i, p.ProbeMW, p.MeasuredBER, p.AnalyticBER)
-			}
+		// The measured error count sits inside the binomial bound
+		// around the Eq. (9) rate at every point; the bound tightens
+		// to the handful of errors a deep point allows by itself.
+		errs, err := stattest.Count(p.MeasuredBER, bits)
+		if err != nil {
+			t.Fatal(err)
 		}
+		stattest.Check(t, fmt.Sprintf("point %d (%.4f mW) errors", i, p.ProbeMW), errs, bits, p.AnalyticBER)
 		// More power, fewer errors.
 		if i > 0 && p.AnalyticBER >= pts[i-1].AnalyticBER {
 			t.Errorf("analytic BER not decreasing at %d", i)
