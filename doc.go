@@ -109,7 +109,7 @@
 //
 //	pts, err := dse.Fig6A(ctx, e, 12, 12)    // parallel grid of MZIFirst solves
 //	rows, err := dse.Sweep(ctx, e, n, point) // custom sweep, index-ordered; seeds from DeriveSeed(seed, i)
-//	pow := circuit.PowerTable()              // shared (weight, zmask) -> mW
+//	pow := circuit.PowerTable()              // shared mW, indexed by circuit.PowerIndex(weight, zmask)
 //
 // The long-running sweeps are robust to interruption and faults. Every
 // dispatch runs under a context (Engine.Run, engine.RunPartial):

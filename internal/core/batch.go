@@ -16,30 +16,24 @@ import (
 // precomputed (weight, z-mask) → bit table. The packed path emits
 // bitstreams identical to the serial Step/Evaluate path.
 
-// decisionTable returns the noiseless output-bit table,
-// decisions[weight] a bitset indexed by coefficient z-mask, building
-// it on first use by thresholding the circuit's shared power table —
-// the finished table is immutable and lock-free to share across batch
-// workers. Returns nil for orders beyond maxTableOrder.
-func (u *Unit) decisionTable() [][]uint64 {
-	n := u.Circuit.P.Order
-	if n > maxTableOrder {
+// decisionTable returns the noiseless output-bit table, a bitset
+// indexed by Circuit.PowerIndex(weight, zmask), building it on first
+// use by thresholding the circuit's shared power table — the finished
+// table is immutable and lock-free to share across batch workers.
+// Returns nil for orders beyond maxTableOrder.
+func (u *Unit) decisionTable() []uint64 {
+	if u.Circuit.P.Order > maxTableOrder {
 		return nil
 	}
 	u.decOnce.Do(func() {
 		pow := u.powerTable()
-		masks := 1 << (n + 1)
-		rows := make([][]uint64, n+1)
-		for w := range rows {
-			row := make([]uint64, (masks+63)/64)
-			for zmask := 0; zmask < masks; zmask++ {
-				if pow[w][zmask] > u.thresholdMW {
-					row[zmask/64] |= 1 << uint(zmask%64)
-				}
+		dec := make([]uint64, (len(pow)+63)/64)
+		for i, p := range pow {
+			if p > u.thresholdMW {
+				dec[i/64] |= 1 << uint(i%64)
 			}
-			rows[w] = row
 		}
-		u.decisions = rows
+		u.decisions = dec
 	})
 	return u.decisions
 }
@@ -81,7 +75,7 @@ func decodeCycles(planes, coefWords []uint64, nbits int, weights, zmasks *[64]in
 
 // evalPacked runs `length` cycles of the word-parallel datapath with
 // the given generators and decision table, 64 cycles per iteration.
-func (u *Unit) evalPacked(dec [][]uint64, data, coef []*stochastic.SNG, x float64, length int) *stochastic.Bitstream {
+func (u *Unit) evalPacked(dec []uint64, data, coef []*stochastic.SNG, x float64, length int) *stochastic.Bitstream {
 	n := u.Circuit.P.Order
 	out := stochastic.NewBitstream(length)
 	var planes []uint64
@@ -93,8 +87,8 @@ func (u *Unit) evalPacked(dec [][]uint64, data, coef []*stochastic.SNG, x float6
 		decodeCycles(planes, coefWords, nbits, &weights, &zmasks)
 		var word uint64
 		for t := 0; t < nbits; t++ {
-			zmask := zmasks[t]
-			word |= dec[weights[t]][zmask/64] >> uint(zmask%64) & 1 << uint(t)
+			i := u.Circuit.PowerIndex(weights[t], zmasks[t])
+			word |= dec[i/64] >> uint(i%64) & 1 << uint(t)
 		}
 		out.SetWord(w, word)
 	}
@@ -153,7 +147,7 @@ func (u *Unit) Cycles(x float64, length int, visit func(t, weight, zmask int, re
 		planes = u.drawWord(u.dataSNG, u.coefSNG, x, nbits, planes, coefWords)
 		decodeCycles(planes, coefWords, nbits, &weights, &zmasks)
 		for t := 0; t < nbits; t++ {
-			visit(w*64+t, weights[t], zmasks[t], pow[weights[t]][zmasks[t]])
+			visit(w*64+t, weights[t], zmasks[t], pow[u.Circuit.PowerIndex(weights[t], zmasks[t])])
 		}
 	}
 	return nil

@@ -37,10 +37,10 @@ type Circuit struct {
 	Bank *optics.MZIBank
 
 	factOnce sync.Once
-	fact     *circuitFactors
+	fact     circuitFactors
 
 	powOnce sync.Once
-	powers  [][]float64
+	powers  []float64
 
 	bandsOnce sync.Once
 	bands     [4]float64
@@ -150,43 +150,44 @@ func (c *Circuit) ReceivedPowerMW(weight int, z []int) float64 {
 // (one per data weight). Tabulating those (n+1)²·3 factors once turns
 // every later transmission into pure table products, in the exact
 // multiplication order of the direct path, so cached consumers return
-// bit-identical values.
+// bit-identical values. Each table is one contiguous slice.
 type circuitFactors struct {
-	// thru[i][w] holds ring w's through factor at probe λ_i for
-	// coefficient bit 0 and 1.
-	thru [][][2]float64
-	// drop[i][weight] is the filter drop factor at probe λ_i with the
-	// filter shifted for the given data weight.
-	drop [][]float64
+	n1 int // n+1: probes, modulators and filter states alike
+	// thru[thruIndex(i, w, b)] is ring w's through factor at probe
+	// λ_i for coefficient bit b.
+	thru []float64
+	// drop[i·n1 + weight] is the filter drop factor at probe λ_i with
+	// the filter shifted for the given data weight.
+	drop []float64
 }
+
+// thruIndex returns the slot of ring w's through factor at probe i
+// for coefficient bit b.
+func (f *circuitFactors) thruIndex(i, w, b int) int { return (i*f.n1+w)*2 + b }
 
 // factors returns the lazily built per-device factor cache.
 func (c *Circuit) factors() *circuitFactors {
 	c.factOnce.Do(func() {
 		n1 := len(c.Modulators)
-		f := &circuitFactors{
-			thru: make([][][2]float64, n1),
-			drop: make([][]float64, n1),
-		}
-		shift := make([]float64, n1)
-		for weight := range shift {
-			shift[weight] = c.FilterShiftNM(weight)
-		}
+		f := &c.fact
+		f.n1 = n1
+		f.thru = make([]float64, n1*n1*2)
+		f.drop = make([]float64, n1*n1)
 		for i := 0; i < n1; i++ {
 			lam := c.P.Lambda(i)
-			f.thru[i] = make([][2]float64, n1)
 			for w, ring := range c.Modulators {
-				f.thru[i][w][0] = ring.Through(lam, c.modResonance(w, 0))
-				f.thru[i][w][1] = ring.Through(lam, c.modResonance(w, 1))
-			}
-			f.drop[i] = make([]float64, n1)
-			for weight := range f.drop[i] {
-				f.drop[i][weight] = c.Filter.Drop(lam, c.P.LambdaRefNM()-shift[weight])
+				f.thru[f.thruIndex(i, w, 0)] = ring.Through(lam, c.modResonance(w, 0))
+				f.thru[f.thruIndex(i, w, 1)] = ring.Through(lam, c.modResonance(w, 1))
 			}
 		}
-		c.fact = f
+		for weight := 0; weight < n1; weight++ {
+			shift := c.FilterShiftNM(weight)
+			for i := 0; i < n1; i++ {
+				f.drop[i*n1+weight] = c.Filter.Drop(c.P.Lambda(i), c.P.LambdaRefNM()-shift)
+			}
+		}
 	})
-	return c.fact
+	return &c.fact
 }
 
 // transmissionByMask is ProbeTransmission for probe i with the
@@ -196,32 +197,38 @@ func (c *Circuit) factors() *circuitFactors {
 // to ProbeTransmission(i, bits(zmask), FilterShiftNM(weight)).
 func (c *Circuit) transmissionByMask(f *circuitFactors, i, weight, zmask int) float64 {
 	t := 1.0
-	for w := range f.thru[i] {
-		t *= f.thru[i][w][zmask>>w&1]
+	for w := 0; w < f.n1; w++ {
+		t *= f.thru[f.thruIndex(i, w, zmask>>w&1)]
 	}
-	return t * f.drop[i][weight]
+	return t * f.drop[i*f.n1+weight]
 }
 
 // receivedByMask is ReceivedPowerMW resolved from the factor cache,
 // summing probes in the same order as the direct path.
 func (c *Circuit) receivedByMask(f *circuitFactors, weight, zmask int) float64 {
 	sum := 0.0
-	for i := range f.thru {
+	for i := 0; i < f.n1; i++ {
 		sum += c.P.ProbePowerMW * c.transmissionByMask(f, i, weight, zmask)
 	}
 	return sum
 }
 
-// PowerTable returns the fully-tabulated received power,
-// powers[weight][zmask] in mW, building it lazily from the factor
-// cache: the optical state space has only (n+1)·2^(n+1) points, so one
-// enumeration turns per-cycle ring evaluations — serial Step lookups,
-// packed threshold decisions, band scans and margin searches alike —
-// into table reads. Entries are bit-identical to ReceivedPowerMW. The
-// finished table is immutable and shared lock-free by every consumer
-// (the unit's packed engines, the de-randomizer calibration, the yield
-// sweep). Returns nil for orders beyond maxTableOrder.
-func (c *Circuit) PowerTable() [][]float64 {
+// PowerIndex returns the slot of a (data weight, coefficient z-mask)
+// pair in PowerTable: weight·2^(n+1) + zmask. The unit's decision
+// tables share the layout.
+func (c *Circuit) PowerIndex(weight, zmask int) int { return weight<<len(c.Modulators) | zmask }
+
+// PowerTable returns the fully-tabulated received power in mW, one
+// contiguous slice indexed by PowerIndex(weight, zmask), building it
+// lazily from the factor cache: the optical state space has only
+// (n+1)·2^(n+1) points, so one enumeration turns per-cycle ring
+// evaluations — serial Step lookups, packed threshold decisions, band
+// scans and margin searches alike — into table reads. Entries are
+// bit-identical to ReceivedPowerMW. The finished table is immutable
+// and shared lock-free by every consumer (the unit's packed engines,
+// the de-randomizer calibration, the yield sweep). Returns nil for
+// orders beyond maxTableOrder.
+func (c *Circuit) PowerTable() []float64 {
 	if c.P.Order > maxTableOrder {
 		return nil
 	}
@@ -229,15 +236,13 @@ func (c *Circuit) PowerTable() [][]float64 {
 		f := c.factors()
 		n1 := len(c.Modulators)
 		masks := 1 << n1
-		rows := make([][]float64, n1)
-		for w := range rows {
-			row := make([]float64, masks)
+		pow := make([]float64, n1*masks)
+		for w := 0; w < n1; w++ {
 			for zmask := 0; zmask < masks; zmask++ {
-				row[zmask] = c.receivedByMask(f, w, zmask)
+				pow[c.PowerIndex(w, zmask)] = c.receivedByMask(f, w, zmask)
 			}
-			rows[w] = row
 		}
-		c.powers = rows
+		c.powers = pow
 	})
 	return c.powers
 }
@@ -273,7 +278,7 @@ func (c *Circuit) PowerBands() (minZero, maxZero, minOne, maxOne float64) {
 		first0, first1 := true, true
 		for pattern := 0; pattern < 1<<(n+1); pattern++ {
 			for weight := 0; weight <= n; weight++ {
-				p := pow[weight][pattern]
+				p := pow[c.PowerIndex(weight, pattern)]
 				if pattern>>c.SelectedChannel(weight)&1 == 0 {
 					if first0 || p < c.bands[0] {
 						c.bands[0] = p

@@ -26,7 +26,7 @@ const noiseBlock = 64
 // Circuit.PowerTable) — one tabulation serves the serial Step lookups,
 // both packed engines and every analysis consumer. Returns nil for
 // orders too large to tabulate.
-func (u *Unit) powerTable() [][]float64 {
+func (u *Unit) powerTable() []float64 {
 	return u.Circuit.PowerTable()
 }
 
@@ -35,7 +35,7 @@ func (u *Unit) powerTable() [][]float64 {
 // iteration: draw and decode one packed word (the scaffolding shared
 // with evalPacked), fill one word of noise samples, then threshold
 // power-table lookups against the calibrated decision level.
-func (u *Unit) evalPackedNoisy(pow [][]float64, data, coef []*stochastic.SNG, x float64, length int, fill func(noiseMW []float64)) *stochastic.Bitstream {
+func (u *Unit) evalPackedNoisy(pow []float64, data, coef []*stochastic.SNG, x float64, length int, fill func(noiseMW []float64)) *stochastic.Bitstream {
 	n := u.Circuit.P.Order
 	out := stochastic.NewBitstream(length)
 	var planes []uint64
@@ -49,7 +49,7 @@ func (u *Unit) evalPackedNoisy(pow [][]float64, data, coef []*stochastic.SNG, x 
 		fill(noise[:nbits])
 		var word uint64
 		for t := 0; t < nbits; t++ {
-			if pow[weights[t]][zmasks[t]]+noise[t] > u.thresholdMW {
+			if pow[u.Circuit.PowerIndex(weights[t], zmasks[t])]+noise[t] > u.thresholdMW {
 				word |= 1 << uint(t)
 			}
 		}

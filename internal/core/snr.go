@@ -112,7 +112,7 @@ func (c *Circuit) WorstCaseDeltaOverZ() float64 {
 		minOne := math.Inf(1)
 		maxZero := math.Inf(-1)
 		for pattern := 0; pattern < 1<<(n+1); pattern++ {
-			p := pow[weight][pattern] / c.P.ProbePowerMW
+			p := pow[c.PowerIndex(weight, pattern)] / c.P.ProbePowerMW
 			if pattern>>sel&1 == 1 {
 				if p < minOne {
 					minOne = p

@@ -26,13 +26,13 @@ type Unit struct {
 	seed        uint64
 	thresholdMW float64
 
-	// decisions is the fully-tabulated noiseless output bit,
-	// decisions[weight] a bitset over z-masks, built once on first
+	// decisions is the fully-tabulated noiseless output bit, a bitset
+	// over Circuit.PowerIndex(weight, zmask), built once on first
 	// word-parallel evaluation (see decisionTable) by thresholding the
 	// circuit's shared received-power table. Immutable after decOnce
 	// fires, so the batch workers share it without locking.
 	decOnce   sync.Once
-	decisions [][]uint64
+	decisions []uint64
 }
 
 // NewUnit builds a unit for the polynomial on the given circuit. The
@@ -71,7 +71,7 @@ func seededSNGs(order int, seed uint64) (data, coef []*stochastic.SNG) {
 // too large to tabulate.
 func (u *Unit) receivedMW(weight int, z []int, zmask int) float64 {
 	if pow := u.powerTable(); pow != nil {
-		return pow[weight][zmask]
+		return pow[u.Circuit.PowerIndex(weight, zmask)]
 	}
 	return u.Circuit.ReceivedPowerMW(weight, z)
 }
