@@ -35,6 +35,31 @@ func main() {
 	}
 }
 
+// Connection timeouts. A client gets readHeaderTimeout to send its
+// request headers and readTimeout for the whole request, body
+// included (a maximal image upload is about 11 MiB); an idle
+// keep-alive connection is closed after idleTimeout. No write
+// timeout: a response waits for its job, which the per-request
+// deadline bounds.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service in an http.Server with the
+// connection timeouts set, so a slow or idle client cannot hold a
+// connection open indefinitely.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("oscserve", flag.ContinueOnError)
 	var (
@@ -83,7 +108,7 @@ func run(args []string, stdout io.Writer) error {
 		CheckpointDir:   *ckptDir,
 		CheckpointEvery: *ckptEach,
 	})
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	hs := newHTTPServer(*addr, srv)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
 	defer stop()

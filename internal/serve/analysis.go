@@ -48,8 +48,8 @@ const (
 
 func (s *Server) handleBER(w http.ResponseWriter, r *http.Request) {
 	var req berRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, ErrorBody{Error: err.Error(), Kind: "bad_request"})
+	if err := decodeJSON(w, r, maxSpecBody, &req); err != nil {
+		s.writeDecodeError(w, err)
 		return
 	}
 	if req.Bits == 0 {
@@ -179,8 +179,8 @@ const (
 
 func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
 	var req yieldRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, ErrorBody{Error: err.Error(), Kind: "bad_request"})
+	if err := decodeJSON(w, r, maxSpecBody, &req); err != nil {
+		s.writeDecodeError(w, err)
 		return
 	}
 	study := figures.YieldStudySpec(figures.Defaults().Samples)

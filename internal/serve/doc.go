@@ -31,6 +31,9 @@
 // kind-specific fields. Kinds and their statuses:
 //
 //	bad_request (400)  malformed or out-of-range request
+//	too_large   (413)  body over its endpoint's cap: 64 KiB for figure,
+//	                   ber and yield specs; an 8 MiB PGM's base64 plus
+//	                   64 KiB for images. The read stops at the cap.
 //	not_found   (404)  unknown figure key; the body lists valid keys
 //	queue_full  (503)  admission control rejected the job (Retry-After: 1)
 //	draining    (503)  server shutting down or job cancelled by drain

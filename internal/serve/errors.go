@@ -13,6 +13,7 @@ import (
 // machine-readable discriminator:
 //
 //	bad_request — malformed or out-of-range request (400)
+//	too_large   — the request body exceeds its endpoint's cap (413)
 //	not_found   — unknown figure or route (404)
 //	queue_full  — admission control rejected the job; retry after
 //	              Retry-After seconds (503)

@@ -68,8 +68,8 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req figureRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, ErrorBody{Error: err.Error(), Kind: "bad_request"})
+	if err := decodeJSON(w, r, maxSpecBody, &req); err != nil {
+		s.writeDecodeError(w, err)
 		return
 	}
 	cfg := figures.Defaults()

@@ -73,8 +73,8 @@ const (
 func (s *Server) handleImage(w http.ResponseWriter, r *http.Request) {
 	op := r.URL.Path[strings.LastIndex(r.URL.Path, "/")+1:]
 	var req imageRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, ErrorBody{Error: err.Error(), Kind: "bad_request"})
+	if err := decodeJSON(w, r, maxImageBody, &req); err != nil {
+		s.writeDecodeError(w, err)
 		return
 	}
 	applyImageDefaults(&req)

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -300,12 +301,25 @@ func jsonEntry(v any) (entry, error) {
 	return entry{status: http.StatusOK, contentType: "application/json", body: data}, nil
 }
 
-// decodeJSON decodes an optional JSON request body into v: an empty
-// body leaves v at its defaults; trailing garbage and unknown fields
-// are rejected so typos fail loudly instead of running the wrong
-// sweep.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// Request body caps, in bytes. Every /v1 body is wrapped in an
+// http.MaxBytesReader at its endpoint's cap, so an oversize body is
+// cut off after cap+1 bytes with a 413 instead of being buffered
+// whole. Specs (figures, ber, yield) are a few hundred bytes; an image
+// body may carry a base64 PGM up to maxImageUpload decoded bytes, plus
+// room for the other fields.
+const (
+	maxSpecBody  = 64 << 10
+	maxImageBody = (maxImageUpload+2)/3*4 + 64<<10
+)
+
+// decodeJSON decodes an optional JSON request body of at most limit
+// bytes into v: an empty body leaves v at its defaults; trailing
+// garbage and unknown fields are rejected so typos fail loudly instead
+// of running the wrong sweep. The body is read through an
+// http.MaxBytesReader, so a body past limit stops the read there and
+// surfaces as an *http.MaxBytesError.
+func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		if err == io.EOF {
@@ -313,9 +327,29 @@ func decodeJSON(r *http.Request, v any) error {
 		}
 		return fmt.Errorf("decoding request body: %w", err)
 	}
-	// A second document in the body is a malformed request.
-	if dec.More() {
+	// Only whitespace may follow the document, up to the cap: a
+	// second document or garbage is a malformed request, and padding
+	// past the cap is an oversize one.
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return err
+	default:
 		return fmt.Errorf("request body has trailing data")
 	}
-	return nil
+}
+
+// writeDecodeError answers a decodeJSON failure: 413 too_large when
+// the body overran its cap, 400 bad_request otherwise.
+func (s *Server) writeDecodeError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		s.writeJSON(w, http.StatusRequestEntityTooLarge, ErrorBody{
+			Error: fmt.Sprintf("request body over the %d-byte limit", tooLarge.Limit),
+			Kind:  "too_large",
+		})
+		return
+	}
+	s.writeJSON(w, http.StatusBadRequest, ErrorBody{Error: err.Error(), Kind: "bad_request"})
 }
