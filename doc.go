@@ -60,7 +60,7 @@
 //
 //	sim := transient.NewSimulator(u, 2)
 //	val, _, err := sim.EvaluateWords(0.5, 4096)        // one noisy stream
-//	vals, err := sim.EvaluateBatch(trialInputs, 4096)  // Monte-Carlo fan-out
+//	vals, err := sim.EvaluateBatch(ctx, e, trialInputs, 4096) // Monte-Carlo fan-out
 //	ber, err := sim.MeasureWorstCaseBER(200_000)       // batched Eq. (8) patterns
 //
 // Image workloads run word-parallel end to end. Gamma correction

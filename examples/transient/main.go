@@ -85,14 +85,14 @@ func main() {
 	}
 
 	// 5. Monte-Carlo batch: 32 independent noisy trials per input,
-	// fanned over all cores with per-trial seeds.
+	// fanned over the engine with per-trial seeds.
 	fmt.Println("\nbatched Monte-Carlo (32 trials x 4096 bits per input):")
 	for _, x := range []float64{0.25, 0.5, 0.75} {
 		xs := make([]float64, 32)
 		for i := range xs {
 			xs[i] = x
 		}
-		vals, err := sim.EvaluateBatch(xs, 4096)
+		vals, err := sim.EvaluateBatch(context.Background(), engine.WordParallel, xs, 4096)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -15,10 +15,11 @@ import (
 // This file is the Monte-Carlo noise study behind `oscbench -fig
 // noise`: the paper's central accuracy–power trade-off (Eq. 8–9 BER
 // feeding the §V.B accuracy loss) swept over stream length, probe
-// power and noise sigma. Every trial runs through the word-parallel
-// noisy engine (transient.Simulator.EvaluateBatch), which fans
-// per-trial seeds over the internal/parallel pool, so the study is
-// reproducible on any core count.
+// power and noise sigma. The (probe, sigma) combinations fan out on
+// the caller's engine; within a combination every trial runs through
+// the word-parallel noisy datapath (transient.Simulator.EvaluateBatch)
+// on engine.Serial, with per-trial derived seeds, so the study is
+// bit-identical on every engine and reproducible on any core count.
 
 // NoiseStudySpec parameterizes NoiseStudy.
 type NoiseStudySpec struct {
@@ -88,9 +89,10 @@ type NoiseRow struct {
 // out on e (one derived seed per combination): each rebuilds its
 // circuit, measures the worst-case BER
 // in one batched run, then estimates the end-to-end RMSE at every
-// stream length from Trials independent noisy evaluations — themselves
-// fanned over the same pool. Results are row-ordered by (probe, sigma,
-// length) and identical at any GOMAXPROCS.
+// stream length from Trials independent noisy evaluations, run
+// serially inside the combination (the nested-sweep rule of Sweep).
+// Results are row-ordered by (probe, sigma, length) and identical at
+// any GOMAXPROCS.
 func NoiseStudy(ctx context.Context, e engine.Engine, spec NoiseStudySpec) ([]NoiseRow, error) {
 	if len(spec.Lengths) == 0 {
 		return nil, fmt.Errorf("dse: noise study needs stream lengths")
@@ -158,7 +160,10 @@ func NoiseStudy(ctx context.Context, e engine.Engine, spec NoiseStudySpec) ([]No
 		analytic := sim.AnalyticWorstCaseBER()
 		rows := make([]NoiseRow, 0, len(spec.Lengths))
 		for _, l := range spec.Lengths {
-			vals, err := sim.EvaluateBatch(xs, l)
+			// Nested inside a sweep point: the trials run on
+			// engine.Serial (see Sweep), so the figure's inner work
+			// stays inside the outer engine's slots.
+			vals, err := sim.EvaluateBatch(ctx, engine.Serial, xs, l)
 			if err != nil {
 				return nil, err
 			}

@@ -22,12 +22,13 @@ import (
 //
 // Nested sweeps: a point function never dispatches on the engine it
 // was handed. Inner engine-accepting calls (core.EnergyModel.Sweep,
-// OptimalSpacing, image.RobertsCrossSC, ...) run on engine.Serial — an
-// engine.Limited outer engine would otherwise deadlock, outer points
-// holding every slot while their inner items wait for one. The
-// engine-less batch evaluators (stochastic.EvaluateBatch,
-// core.Unit.EvaluateBatch, transient.Simulator.EvaluateBatch) keep
-// their own worker-pool fan-out.
+// OptimalSpacing, image.RobertsCrossSC,
+// transient.Simulator.EvaluateBatch in NoiseStudy, ...) run on
+// engine.Serial — an engine.Limited outer engine would otherwise
+// deadlock, outer points holding every slot while their inner items
+// wait for one. The engine-less batch evaluators
+// (stochastic.EvaluateBatch, core.Unit.EvaluateBatch) keep their own
+// worker-pool fan-out.
 
 // Sweep evaluates point(i) for every i in [0, n) on e under ctx and
 // returns the results in index order. Every point runs; if any fail,

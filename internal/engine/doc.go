@@ -56,8 +56,9 @@
 //
 // A work item never dispatches on the engine it runs on. Sweeps nested
 // inside a sweep point — the per-order spacing sweep and optimum
-// search of Fig. 7, the edge detection inside an edge-study point —
-// run on engine.Serial. The outer sweep already spreads the work over
+// search of Fig. 7, the edge detection inside an edge-study point, the
+// noisy trial batches inside a noise-study point — run on
+// engine.Serial. The outer sweep already spreads the work over
 // the pool, and dispatching inward on a Limited engine would deadlock:
 // outer items hold every slot while their inner items wait for one.
 //

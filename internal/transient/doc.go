@@ -30,7 +30,7 @@
 //	sim := transient.NewSimulator(u, 2)
 //	val, _, err := sim.EvaluateWords(0.5, 4096) // one noisy stream
 //	xs := []float64{0.5, 0.5, 0.5, 0.5}         // 4 independent trials
-//	vals, err := sim.EvaluateBatch(xs, 4096)    // fanned over all cores
+//	vals, err := sim.EvaluateBatch(ctx, e, xs, 4096) // fanned over e
 //	ber, err := sim.MeasureWorstCaseBER(200_000)
 //
 // On top of the bit-level simulator the package provides the

@@ -28,6 +28,18 @@ func TestEngineSuite(t *testing.T) {
 			},
 		},
 		{
+			Name: "transient.Simulator.EvaluateBatch",
+			Eval: func(e engine.Engine) (any, error) {
+				// Hot link so noise flips decisions; word-edge lengths
+				// and more trials than any fixture's worker count.
+				xs := make([]float64, 37)
+				for i := range xs {
+					xs[i] = float64(i) / 36
+				}
+				return hotSim(t, 81).EvaluateBatch(ctx, e, xs, 65)
+			},
+		},
+		{
 			Name: "transient.BERWaterfall",
 			Eval: func(e engine.Engine) (any, error) {
 				return BERWaterfall(ctx, e, base, powers, 20_000, 41)
@@ -77,6 +89,18 @@ func TestWaterfallCtxCancellation(t *testing.T) {
 	}
 }
 
+// TestEvaluateBatchCtxCancellation: a canceled batch surfaces the
+// typed partial error instead of values.
+func TestEvaluateBatchCtxCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := hotSim(t, 81).EvaluateBatch(ctx, engine.WordParallel, []float64{0.5, 0.5}, 64)
+	var p *engine.Partial
+	if !errors.As(err, &p) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v (%T), want *engine.Partial carrying context.Canceled", err, err)
+	}
+}
+
 // TestSerialShims pins the serial oracle onto the engine layer: each
 // entry point on engine.Serial equals the word-parallel run.
 func TestSerialShims(t *testing.T) {
@@ -99,6 +123,9 @@ func TestSerialShims(t *testing.T) {
 	both("AccuracyVsLength", func(e engine.Engine) (any, error) {
 		return newTestSim(t, 0, 80).AccuracyVsLength(ctx, e, 0.5, []int{64, 256}, 3)
 	})
+	both("EvaluateBatch", func(e engine.Engine) (any, error) {
+		return hotSim(t, 81).EvaluateBatch(ctx, e, []float64{0.1, 0.5, 0.9}, 300)
+	})
 	both("BERWaterfall", func(e engine.Engine) (any, error) {
 		return BERWaterfall(ctx, e, base, powers, 5_000, 41)
 	})
@@ -120,6 +147,9 @@ func TestNilEngineMisuse(t *testing.T) {
 	s := newTestSim(t, 0, 99)
 	if _, err := s.AccuracyVsLength(ctx, nil, 0.5, []int{64}, 1); err == nil {
 		t.Error("AccuracyVsLength(nil) did not error")
+	}
+	if _, err := s.EvaluateBatch(ctx, nil, []float64{0.5}, 64); err == nil {
+		t.Error("EvaluateBatch(nil) did not error")
 	}
 	base, powers := waterfallPowers(t)
 	if _, err := BERWaterfall(ctx, nil, base, powers, 100, 1); err == nil {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/parallel"
 	"repro/internal/stochastic"
 )
 
@@ -90,33 +89,34 @@ func trialSeeds(base uint64, i int) (unitSeed, noiseSeed uint64) {
 }
 
 // EvaluateBatch evaluates every input with a fresh `length`-bit noisy
-// stream, fanning the trials out over a runtime.GOMAXPROCS-sized
-// worker pool. Trial i runs with SNGs and a Gaussian noise stream seeded
-// from the simulator's seed and i only (trialSeeds), so the result is
-// reproducible regardless of core count or scheduling — it matches a
-// serial walk of core.NewUnit(..., unitSeed) steps fed with the
-// trial's own noise stream. The simulator's shared state (unit
-// tables, SigmaMW, seed) is only read: EvaluateBatch does not advance
-// the serial noise stream and may itself be called concurrently.
-func (s *Simulator) EvaluateBatch(xs []float64, length int) ([]float64, error) {
+// stream, one work item per input dispatched on the given engine.
+// Trial i runs with SNGs and a Gaussian noise stream seeded from the
+// simulator's seed and i only (trialSeeds), so the result is
+// bit-identical on every conforming engine and reproducible on any
+// core count — it matches a serial walk of core.NewUnit(...,
+// unitSeed) steps fed with the trial's own noise stream. The
+// simulator's shared state (unit tables, SigmaMW, seed) is only read:
+// EvaluateBatch does not advance the serial noise stream and may
+// itself be called concurrently. A nil engine is an error; if several
+// trials fail, the error of the lowest failing index is returned. A
+// fired ctx stops the fan-out at a trial boundary and surfaces a
+// *engine.Partial instead of values.
+func (s *Simulator) EvaluateBatch(ctx context.Context, e engine.Engine, xs []float64, length int) ([]float64, error) {
 	if length <= 0 {
 		return nil, fmt.Errorf("transient: stream length %d, need >= 1", length)
 	}
 	sigma := s.SigmaMW
 	out := make([]float64, len(xs))
 	errs := make([]error, len(xs))
-	parallel.For(len(xs), func(i int) {
+	if err := engine.RunPartial(ctx, e, len(xs), func(i int) {
 		unitSeed, noiseSeed := trialSeeds(s.seed, i)
 		g := NewGaussian(stochastic.NewSplitMix64(noiseSeed))
-		v, err := s.Unit.EvaluateNoisySeeded(unitSeed, xs[i], length, func(dst []float64) {
+		out[i], errs[i] = s.Unit.EvaluateNoisySeeded(unitSeed, xs[i], length, func(dst []float64) {
 			g.FillScaled(dst, sigma)
 		})
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		out[i] = v
-	})
+	}); err != nil {
+		return nil, err
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -178,7 +178,7 @@ func TestEvaluateRejectsBadLength(t *testing.T) {
 		if v, _, err := s.EvaluateWords(0.5, l); err == nil {
 			t.Errorf("EvaluateWords(%d) = %g, want error", l, v)
 		}
-		if _, err := s.EvaluateBatch([]float64{0.5}, l); err == nil {
+		if _, err := s.EvaluateBatch(ctx, engine.WordParallel, []float64{0.5}, l); err == nil {
 			t.Errorf("EvaluateBatch(len %d) accepted", l)
 		}
 	}
