@@ -162,7 +162,7 @@ func (u *Unit) evalSeeded(seed uint64, x float64, length int) float64 {
 	if dec := u.decisionTable(); dec != nil {
 		return u.evalPacked(dec, data, coef, x, length).Value()
 	}
-	return u.walkSeeded(data, coef, x, length, nil)
+	return u.walkSeeded(data, coef, x, length, nil, nil)
 }
 
 // EvaluateBatch computes B(x) for every input with fresh `length`-bit

@@ -22,13 +22,16 @@ import (
 // WordsFor returns the number of 64-bit words covering n bits.
 func WordsFor(n int) int { return (n + 63) / 64 }
 
-// probThreshold maps a probability to the integer comparator threshold
+// ProbThreshold maps a probability to the integer comparator threshold
 // used by the devirtualized SplitMix64 paths: Next() < p compares
 // k/2^53 against p with k = NextUint64()>>11; both k/2^53 and p·2^53
 // are exact (power-of-two scaling), so k < ceil(p·2^53) is the same
-// predicate with the per-sample int→float conversion dropped. The
-// degenerate probabilities clamp to the never/always thresholds.
-func probThreshold(p float64) uint64 {
+// predicate with the per-sample int→float conversion dropped — a
+// Bernoulli(p) draw whose p is quantized up to a multiple of 2^-53.
+// The degenerate probabilities clamp to the never/always thresholds;
+// a draw decides 1 iff k < threshold, which (both below 2^63) is bit
+// 63 of k − threshold.
+func ProbThreshold(p float64) uint64 {
 	if p <= 0 {
 		return 0
 	}
@@ -79,12 +82,12 @@ func FillCorrelatedPlanes(src NumberSource, a, b float64, n int, pa, pb []uint64
 	checkPlane("pa", pa, words)
 	checkPlane("pb", pb, words)
 	if sm, ok := src.(*SplitMix64); ok {
-		// Devirtualized integer-domain fast path (see probThreshold),
+		// Devirtualized integer-domain fast path (see ProbThreshold),
 		// with the comparisons made branchless: k and thr both sit
 		// far below 2^63, so k < thr iff k−thr wraps, i.e. bit 63 of
 		// the difference. Stochastic bits are maximally unpredictable
 		// — a branch per comparator would mispredict half the time.
-		thrA, thrB := probThreshold(a), probThreshold(b)
+		thrA, thrB := ProbThreshold(a), ProbThreshold(b)
 		for w := 0; w < words; w++ {
 			nbits := planeWordBits(n, w)
 			var wa, wb uint64
@@ -134,7 +137,7 @@ func FillAbsDiffPlane(src NumberSource, a, b float64, n int, dst []uint64) {
 		// Branchless band test (see FillCorrelatedPlanes): the XOR of
 		// the two wrap indicators is 1 iff k lands between the
 		// thresholds.
-		thrA, thrB := probThreshold(a), probThreshold(b)
+		thrA, thrB := ProbThreshold(a), ProbThreshold(b)
 		for w := 0; w < words; w++ {
 			nbits := planeWordBits(n, w)
 			var wd uint64

@@ -24,14 +24,14 @@ func TestWordsFor(t *testing.T) {
 }
 
 func TestProbThreshold(t *testing.T) {
-	if probThreshold(0) != 0 || probThreshold(-3) != 0 {
+	if ProbThreshold(0) != 0 || ProbThreshold(-3) != 0 {
 		t.Error("degenerate zero threshold")
 	}
-	if probThreshold(1) != 1<<53 || probThreshold(2) != 1<<53 {
+	if ProbThreshold(1) != 1<<53 || ProbThreshold(2) != 1<<53 {
 		t.Error("degenerate one threshold")
 	}
-	if probThreshold(0.5) != 1<<52 {
-		t.Errorf("threshold(0.5) = %d", probThreshold(0.5))
+	if ProbThreshold(0.5) != 1<<52 {
+		t.Errorf("threshold(0.5) = %d", ProbThreshold(0.5))
 	}
 }
 

@@ -88,12 +88,12 @@ func bernoulliWord(src NumberSource, p float64, nbits int) uint64 {
 	var w uint64
 	if sm, ok := src.(*SplitMix64); ok {
 		// Devirtualized fast path with the comparison moved to the
-		// integer domain (see probThreshold in plane.go) and made
+		// integer domain (see ProbThreshold in plane.go) and made
 		// branchless: k and thr both sit far below 2^63, so k < thr
 		// iff k−thr wraps, i.e. bit 63 of the difference. Stochastic
 		// bits are maximally unpredictable, so a branch here would
 		// mispredict half the time.
-		thr := probThreshold(p)
+		thr := ProbThreshold(p)
 		for b := 0; b < nbits; b++ {
 			k := sm.NextUint64() >> 11
 			w |= (k - thr) >> 63 << uint(b)

@@ -32,8 +32,8 @@ func hotSim(t testing.TB, seed uint64) *Simulator {
 
 // TestSimulatorEvaluateWordsMatchesSerial is the tentpole
 // equivalence: the word-parallel noisy datapath must emit the same
-// bitstream as the bit-serial Step loop — same SNG streams, same
-// noise stream, same decisions — across seeds and awkward lengths.
+// bitstream as the bit-serial StepNoisy loop — same SNG streams, same
+// uniform stream, same decisions — across seeds and awkward lengths.
 func TestSimulatorEvaluateWordsMatchesSerial(t *testing.T) {
 	for _, seed := range []uint64{3, 1234} {
 		serial := hotSim(t, seed)
@@ -63,9 +63,9 @@ func TestSimulatorEvaluateWordsMatchesSerial(t *testing.T) {
 }
 
 // TestSimulatorEvaluateBatchMatchesSerialDerivation: batch trial i
-// must equal a bit-serial walk of a fresh unit seeded from
-// trialSeeds(seed, i), fed by that trial's own Gaussian stream — the
-// documented contract that makes batch results reproducible.
+// must equal a bit-serial StepNoisy walk of a fresh unit seeded from
+// trialSeeds(seed, i), deciding from that trial's own uniform stream —
+// the documented contract that makes batch results reproducible.
 func TestSimulatorEvaluateBatchMatchesSerialDerivation(t *testing.T) {
 	s := hotSim(t, 55)
 	xs := []float64{0, 0.2, 0.5, 0.9, 1}
@@ -83,10 +83,14 @@ func TestSimulatorEvaluateBatchMatchesSerialDerivation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := NewGaussian(stochastic.NewSplitMix64(noiseSeed))
+		tab, err := u.NoisyTable(s.SigmaMW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := stochastic.NewSplitMix64(noiseSeed)
 		ones := 0
 		for tt := 0; tt < length; tt++ {
-			ones += u.Step(x, g.NextScaled(s.SigmaMW)).Bit
+			ones += u.StepNoisy(x, tab, src).Bit
 		}
 		want := float64(ones) / float64(length)
 		if got[i] != want {

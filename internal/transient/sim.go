@@ -19,9 +19,13 @@ type Simulator struct {
 	SigmaMW float64
 
 	// seed is the base seed the batch evaluators derive per-trial
-	// randomness from; the serial path's noise generator is seeded
-	// from it too.
-	seed  uint64
+	// randomness from; the serial stream is seeded from it too.
+	seed uint64
+	// src is the simulator's sequential uniform stream: a noisy
+	// decision draws one value from it. noise is its Gaussian view
+	// (Box–Muller over the same source), drawn by the paths that
+	// observe the analog detector value (Trace, MeasureEye).
+	src   *stochastic.SplitMix64
 	noise *Gaussian
 }
 
@@ -30,46 +34,50 @@ type Simulator struct {
 func NewSimulator(u *core.Unit, seed uint64) *Simulator {
 	det := u.Circuit.P.Detector
 	sigma := det.NoiseCurrentA / det.ResponsivityAPerW * 1e3 // A/(A/W) = W -> mW
+	src := stochastic.NewSplitMix64(seed)
 	return &Simulator{
 		Unit:    u,
 		SigmaMW: sigma,
 		seed:    seed,
-		noise:   NewGaussian(stochastic.NewSplitMix64(seed)),
+		src:     src,
+		noise:   NewGaussian(src),
 	}
 }
 
-// Step runs one noisy clock cycle at input probability x.
-func (s *Simulator) Step(x float64) core.StepResult {
-	return s.Unit.Step(x, s.noise.NextScaled(s.SigmaMW))
-}
-
-// Evaluate runs `length` noisy cycles bit-serially and de-randomizes
-// the output. It is the oracle for EvaluateWords; a non-positive
-// length is an error (an empty bitstream has no defined value).
+// Evaluate runs `length` noisy cycles bit-serially (core.Unit.StepNoisy,
+// one uniform of the simulator's stream per decision, against the
+// decision table of the SigmaMW in force) and de-randomizes the
+// output. It is the oracle for EvaluateWords; a non-positive length
+// is an error (an empty bitstream has no defined value).
 func (s *Simulator) Evaluate(x float64, length int) (float64, *stochastic.Bitstream, error) {
 	if length <= 0 {
 		return 0, nil, fmt.Errorf("transient: stream length %d, need >= 1", length)
 	}
+	tab, err := s.Unit.NoisyTable(s.SigmaMW)
+	if err != nil {
+		return 0, nil, err
+	}
 	out := stochastic.NewBitstream(length)
 	for t := 0; t < length; t++ {
-		out.Set(t, s.Step(x).Bit)
+		out.Set(t, s.Unit.StepNoisy(x, tab, s.src).Bit)
 	}
 	return out.Value(), out, nil
 }
 
-// EvaluateWords is Evaluate through the word-parallel noisy datapath:
-// SNG words, the carry-save weight tree, power-table lookups and
-// block Gaussian noise (Gaussian.FillScaled), 64 cycles per inner
-// iteration. It advances the unit's generators and the simulator's
-// noise stream exactly as Evaluate does and emits an identical
-// bitstream.
+// EvaluateWords is Evaluate through the word-parallel noisy datapath
+// (core.Unit.EvaluateNoisy): SNG words, the carry-save weight tree and
+// one decision-table compare per cycle, 64 cycles per inner iteration.
+// It advances the unit's generators and the simulator's uniform stream
+// exactly as Evaluate does and emits an identical bitstream.
 func (s *Simulator) EvaluateWords(x float64, length int) (float64, *stochastic.Bitstream, error) {
 	if length <= 0 {
 		return 0, nil, fmt.Errorf("transient: stream length %d, need >= 1", length)
 	}
-	out, err := s.Unit.EvaluateNoisy(x, length, func(dst []float64) {
-		s.noise.FillScaled(dst, s.SigmaMW)
-	})
+	tab, err := s.Unit.NoisyTable(s.SigmaMW)
+	if err != nil {
+		return 0, nil, err
+	}
+	out, err := s.Unit.EvaluateNoisy(x, length, tab, s.src)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -90,30 +98,30 @@ func trialSeeds(base uint64, i int) (unitSeed, noiseSeed uint64) {
 
 // EvaluateBatch evaluates every input with a fresh `length`-bit noisy
 // stream, one work item per input dispatched on the given engine.
-// Trial i runs with SNGs and a Gaussian noise stream seeded from the
-// simulator's seed and i only (trialSeeds), so the result is
-// bit-identical on every conforming engine and reproducible on any
-// core count — it matches a serial walk of core.NewUnit(...,
-// unitSeed) steps fed with the trial's own noise stream. The
-// simulator's shared state (unit tables, SigmaMW, seed) is only read:
-// EvaluateBatch does not advance the serial noise stream and may
-// itself be called concurrently. A nil engine is an error; if several
-// trials fail, the error of the lowest failing index is returned. A
-// fired ctx stops the fan-out at a trial boundary and surfaces a
-// *engine.Partial instead of values.
+// Trial i runs with SNGs and a decision stream seeded from the
+// simulator's seed and i only (trialSeeds), against one decision table
+// built for the call, so the result is bit-identical on every
+// conforming engine and reproducible on any core count — it matches a
+// serial walk of core.NewUnit(..., unitSeed) StepNoisy calls fed from
+// the trial's own SplitMix64(noiseSeed). The simulator's shared state
+// (unit tables, SigmaMW, seed) is only read: EvaluateBatch does not
+// advance the serial stream and may itself be called concurrently. A
+// nil engine is an error; if several trials fail, the error of the
+// lowest failing index is returned. A fired ctx stops the fan-out at a
+// trial boundary and surfaces a *engine.Partial instead of values.
 func (s *Simulator) EvaluateBatch(ctx context.Context, e engine.Engine, xs []float64, length int) ([]float64, error) {
 	if length <= 0 {
 		return nil, fmt.Errorf("transient: stream length %d, need >= 1", length)
 	}
-	sigma := s.SigmaMW
+	tab, err := s.Unit.NoisyTable(s.SigmaMW)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]float64, len(xs))
 	errs := make([]error, len(xs))
 	if err := engine.RunPartial(ctx, e, len(xs), func(i int) {
 		unitSeed, noiseSeed := trialSeeds(s.seed, i)
-		g := NewGaussian(stochastic.NewSplitMix64(noiseSeed))
-		out[i], errs[i] = s.Unit.EvaluateNoisySeeded(unitSeed, xs[i], length, func(dst []float64) {
-			g.FillScaled(dst, sigma)
-		})
+		out[i], errs[i] = s.Unit.EvaluateNoisySeeded(unitSeed, noiseSeed, xs[i], length, tab)
 	}); err != nil {
 		return nil, err
 	}
@@ -155,38 +163,35 @@ func (s *Simulator) worstCasePair() (oneLevel, zeroLevel, threshold float64) {
 // slots carry its '0' pattern (every other coefficient set,
 // maximizing crosstalk). A non-positive slot count is an error, and
 // an odd count is rounded up so the two patterns are transmitted
-// equally often — an unbalanced split would bias the measurement
-// toward one pattern's error rate. Noise is drawn in blocks
-// (Gaussian.FillScaled), which consumes the stream exactly as the
-// serial per-slot draw would. The measurement converges to the
-// analytical Eq. (9) BER of the circuit.
+// equally often.
+//
+// Both patterns sit Δ/2 from the midpoint threshold, so every slot
+// errs with the same probability p = Q(Δ/2σ) = ½·erfc(Δ/(2√2·σ)):
+// the measurement decides errors directly, one uniform of the
+// simulator's stream per slot compared against p
+// (stochastic.FillPlane, 64 slots per word), and counts them with
+// stochastic.PlaneOnes. It converges to the analytical Eq. (9) BER of
+// the circuit, and is exactly binomial around it.
 func (s *Simulator) MeasureWorstCaseBER(bits int) (float64, error) {
 	if bits <= 0 {
 		return 0, fmt.Errorf("transient: BER measurement needs bits >= 1, got %d", bits)
 	}
+	if !(s.SigmaMW >= 0) || math.IsInf(s.SigmaMW, 1) {
+		return 0, fmt.Errorf("transient: noise sigma %g mW, need finite and >= 0", s.SigmaMW)
+	}
 	if bits%2 != 0 {
 		bits++ // balance the even/odd pattern split
 	}
-	oneLevel, zeroLevel, threshold := s.worstCasePair()
+	_, zeroLevel, threshold := s.worstCasePair()
+	p := core.OneProbability(zeroLevel, threshold, s.SigmaMW)
 
+	var plane [64]uint64
+	const block = 64 * len(plane)
 	errors := 0
-	var noise [64]float64
-	for t := 0; t < bits; t += len(noise) {
-		nb := min(len(noise), bits-t)
-		s.noise.FillScaled(noise[:nb], s.SigmaMW)
-		for k := 0; k < nb; k++ {
-			level, want := oneLevel, 1
-			if (t+k)%2 != 0 {
-				level, want = zeroLevel, 0
-			}
-			got := 0
-			if level+noise[k] > threshold {
-				got = 1
-			}
-			if got != want {
-				errors++
-			}
-		}
+	for t := 0; t < bits; t += block {
+		nb := min(block, bits-t)
+		stochastic.FillPlane(s.src, p, nb, plane[:])
+		errors += stochastic.PlaneOnes(plane[:stochastic.WordsFor(nb)])
 	}
 	return float64(errors) / float64(bits), nil
 }
@@ -277,15 +282,15 @@ func (s *Simulator) AccuracyVsLength(ctx context.Context, e engine.Engine, x flo
 	}
 	valid := accuracyLengths(lengths)
 	want := s.Unit.Poly.Eval(x)
-	sigma := s.SigmaMW
+	tab, err := s.Unit.NoisyTable(s.SigmaMW)
+	if err != nil {
+		return nil, err
+	}
 	sq := make([]float64, len(valid)*trials)
 	errs := make([]error, len(sq))
 	if err := engine.RunPartial(ctx, e, len(sq), func(i int) {
 		unitSeed, noiseSeed := trialSeeds(s.seed^accuracySalt, i)
-		g := NewGaussian(stochastic.NewSplitMix64(noiseSeed))
-		got, err := s.Unit.EvaluateNoisySeeded(unitSeed, x, valid[i/trials], func(dst []float64) {
-			g.FillScaled(dst, sigma)
-		})
+		got, err := s.Unit.EvaluateNoisySeeded(unitSeed, noiseSeed, x, valid[i/trials], tab)
 		if err != nil {
 			errs[i] = err
 			return
