@@ -40,28 +40,36 @@
 // replayed on the built-ins and the suite's fixture engines at
 // GOMAXPROCS 1 and 4 against the engine.Serial reference.
 //
-// The noise-aware transient path is word-parallel too: the received
-// power is a pure function of (weight, z-mask), so
-// core.Unit.EvaluateNoisy resolves 64 noisy threshold decisions per
-// word from a power table plus block Gaussian noise
-// (transient.Gaussian.Fill, Box–Muller over any
-// stochastic.NumberSource). transient.Simulator.EvaluateWords emits
-// streams bit-identical to the serial Step loop;
-// transient.Simulator.EvaluateBatch and the dse.NoiseStudy
-// Monte-Carlo harness (oscbench -fig noise) fan per-trial seeds over
-// the same worker pool. The transient measurements follow suit, each an
-// engine-dispatched entry point (Trace, MeasureEye, SyncSweep,
+// The noise-aware transient path is word-parallel too, and it decides
+// errors rather than sampling voltages. With additive Gaussian
+// detector noise a decided bit is Bernoulli: it is 1 with probability
+// Q((threshold − power)/σ) (Eq. 9's Q-function), and the received
+// power is a pure function of (weight, z-mask). core.NoisyTable
+// tabulates that probability once per σ as 53-bit comparator
+// thresholds (stochastic.ProbThreshold, so p is quantized to 2^-53),
+// and core.Unit.EvaluateNoisy decides each of 64 cycles per word with
+// one SplitMix64 uniform — no Gaussian sample, no distribution hook.
+// transient.Simulator.EvaluateWords emits streams bit-identical to the
+// bit-serial oracle (Simulator.Evaluate over core.Unit.StepNoisy),
+// which reads the same uniform stream; MeasureWorstCaseBER draws each
+// worst-case slot's error directly at p = Q(Δ/2σ) with
+// stochastic.FillPlane and counts them with PlaneOnes. The Gaussian
+// (transient.Gaussian, Box–Muller) stays only where the analog value
+// is observed: Trace, MeasureEye, SyncSweep, control.Loop and yield
+// process variation. The transient measurements are engine-dispatched
+// entry points (EvaluateBatch, Trace, MeasureEye, SyncSweep,
 // BERWaterfall, AccuracyVsLength): Trace and MeasureEye decode 64
 // cycles per word (core.Unit.Cycles) with block noise, and
-// SyncSweep, BERWaterfall (oscbench -fig waterfall) and
-// AccuracyVsLength fan their points and trials over the selected
+// EvaluateBatch, SyncSweep, BERWaterfall (oscbench -fig waterfall),
+// AccuracyVsLength and the dse.NoiseStudy Monte-Carlo harness
+// (oscbench -fig noise) fan their points and trials over the selected
 // engine with derived seeds — bit-identical across engines at any
 // GOMAXPROCS. Quickstart:
 //
 //	sim := transient.NewSimulator(u, 2)
-//	val, _, err := sim.EvaluateWords(0.5, 4096)        // one noisy stream
+//	val, _, err := sim.EvaluateWords(0.5, 4096)               // one noisy stream
 //	vals, err := sim.EvaluateBatch(ctx, e, trialInputs, 4096) // Monte-Carlo fan-out
-//	ber, err := sim.MeasureWorstCaseBER(200_000)       // batched Eq. (8) patterns
+//	ber, err := sim.MeasureWorstCaseBER(200_000)              // Eq. (8) patterns, errors decided directly
 //
 // Image workloads run word-parallel end to end. Gamma correction
 // builds its 256-level LUT through the batch engines — and because

@@ -7,29 +7,43 @@
 //
 // The noise model follows the paper's Eq. (8) exactly: the detector's
 // internal noise current i_n against responsivity R corresponds to a
-// received-power standard deviation of i_n/R, so the measured BER of
+// received-power standard deviation σ = i_n/R, so the measured BER of
 // a simulation run converges to the analytical Eq. (9) prediction
 // when the worst-case signal/crosstalk patterns are transmitted.
-// That agreement is the package's main validation test.
+// That agreement is the package's main validation test, checked
+// against binomial confidence bounds (internal/stattest).
+//
+// # Decisions are Bernoulli, the analog value is Gaussian
+//
+// A path that only needs the decided bit never draws a noise sample:
+// with Gaussian noise the bit is 1 with probability
+// Q((threshold − power)/σ), so it is one uniform draw against that
+// probability, quantized to 2^-53 (core.NoisyTable,
+// stochastic.ProbThreshold). Each call builds the decision table once
+// from the SigmaMW in force. MeasureWorstCaseBER goes further: both
+// worst-case patterns err with the same p = Q(Δ/2σ), so it fills
+// error planes directly (stochastic.FillPlane) and counts them
+// (PlaneOnes). Paths that observe the analog detector value — Trace,
+// MeasureEye, SyncSweep — draw Gaussian samples (Gaussian.FillScaled,
+// Box–Muller over the simulator's uniform stream).
 //
 // # Batched noisy evaluation
 //
 // Every noisy evaluator comes in two equivalent forms. The bit-serial
-// Simulator.Step/Evaluate path advances one clock per call and serves
-// as the oracle. The word-parallel path (Simulator.EvaluateWords)
-// simulates 64 clocks per machine word — SNG words, the carry-save
-// weight tree, received-power table lookups and block Gaussian noise
-// (Gaussian.Fill/FillScaled, a Box–Muller pair at a time) — and emits
-// bit-identical streams. Monte-Carlo studies go through
-// Simulator.EvaluateBatch, which fans independent trials over a
-// runtime.GOMAXPROCS-sized worker pool with per-trial seeds derived by
-// stochastic.DeriveSeed, so results are reproducible on any core
-// count. Quickstart:
+// Simulator.Evaluate path (core.Unit.StepNoisy) advances one clock
+// per call and serves as the oracle. The word-parallel path
+// (Simulator.EvaluateWords) simulates 64 clocks per machine word — SNG
+// words, the carry-save weight tree and one decision-table compare per
+// clock — reads the same uniform stream and emits bit-identical
+// streams. Monte-Carlo studies go through Simulator.EvaluateBatch,
+// which dispatches independent trials on an engine with per-trial
+// seeds derived by stochastic.DeriveSeed, so results are identical on
+// every engine and core count. Quickstart:
 //
 //	u, _ := core.NewUnit(circuit, poly, 1)
 //	sim := transient.NewSimulator(u, 2)
-//	val, _, err := sim.EvaluateWords(0.5, 4096) // one noisy stream
-//	xs := []float64{0.5, 0.5, 0.5, 0.5}         // 4 independent trials
+//	val, _, err := sim.EvaluateWords(0.5, 4096)      // one noisy stream
+//	xs := []float64{0.5, 0.5, 0.5, 0.5}              // 4 independent trials
 //	vals, err := sim.EvaluateBatch(ctx, e, xs, 4096) // fanned over e
 //	ber, err := sim.MeasureWorstCaseBER(200_000)
 //
@@ -47,6 +61,9 @@
 // count (engine.Serial is the oracle), pinned by this package's
 // internal/engine/enginetest suite.
 //
+//   - EvaluateBatch — trials fanned over the engine with per-trial
+//     derived seeds against one decision table per call; nested
+//     inside a sweep point (dse.NoiseStudy) it runs on engine.Serial.
 //   - Trace — the pulse-gated waveform written over core.Unit.Cycles
 //     (64 decoded cycles per SNG word draw) with per-slot block noise
 //     fills.

@@ -270,7 +270,7 @@ func (s *Simulator) accuracyReduce(valid []int, trials int, sq []float64) []Accu
 // simulator's seed and i alone (trialSeeds over a salted stream), so
 // the study is bit-identical on every conforming engine, deterministic
 // on any core count, and identical across repeated calls — it does not
-// advance the simulator's generators or its serial noise stream. A nil
+// advance the simulator's generators or its serial uniform stream. A nil
 // engine is an error. If several trials fail, the error of the lowest
 // failing index is returned (a deterministic choice). A fired ctx stops
 // the trial fan-out at a trial boundary and surfaces a *engine.Partial
