@@ -181,6 +181,110 @@ func TestEvaluateBatchMatchesPerIndexOracle(t *testing.T) {
 	}
 }
 
+// batchSeeds are base seeds for the batch identity tests, including
+// seeds whose derived source states wrap past 2^64.
+var batchSeeds = []uint64{31, 1<<64 - 1, 1<<64 - 5, 1<<64 - 0xABCDEF}
+
+// TestEvaluateBatchMatchesEvaluateWords is the identity of the
+// counter-indexed multiplexer kernel: every batch value equals the
+// word-parallel reference on NewReSCWithSeeds(poly, DeriveSeed(seed,
+// i)), for degenerate and interior inputs and coefficients, across
+// word boundaries.
+func TestEvaluateBatchMatchesEvaluateWords(t *testing.T) {
+	polys := []BernsteinPoly{
+		repPoly(6),
+		NewBernstein([]float64{0, 0.3, 1, 0.6, 0}),
+		NewBernstein([]float64{1, 0}),
+		NewBernstein([]float64{0.4}),
+	}
+	xs := []float64{0, 1, 0.5, 1e-9, 0.999, 0.37}
+	for _, poly := range polys {
+		for _, length := range []int{1, 63, 64, 65, 1000, 4096} {
+			for _, seed := range batchSeeds {
+				got, err := EvaluateBatch(poly, xs, length, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, x := range xs {
+					r, err := NewReSCWithSeeds(poly, DeriveSeed(seed, i))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want, _ := r.EvaluateWords(x, length); got[i] != want {
+						t.Fatalf("%v len %d seed %x x=%g: batch %g vs words %g", poly.Coef, length, seed, x, got[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// referenceRowValue evaluates a RowKernel's unit on stateful sources:
+// per word it draws every data and coefficient source through
+// SNG.NextWord, then applies the weight's row clock by clock.
+func referenceRowValue(seeds SeedLayout, coef []float64, rows []DecisionRow, seed uint64, x float64, length int) float64 {
+	n := len(rows) - 1
+	data := make([]*SNG, n)
+	for i := range data {
+		data[i] = NewSNG(NewSplitMix64(seeds.Data(seed, i)))
+	}
+	cs := make([]*SNG, len(coef))
+	for j := range cs {
+		cs[j] = NewSNG(NewSplitMix64(seeds.Coef(seed, j)))
+	}
+	dw := make([]uint64, n)
+	cw := make([]uint64, len(coef))
+	ones := 0
+	for w := 0; w*64 < length; w++ {
+		nbits := min(64, length-w*64)
+		for i := range data {
+			dw[i] = data[i].NextWord(x, nbits)
+		}
+		for j := range cs {
+			cw[j] = cs[j].NextWord(coef[j], nbits)
+		}
+		for b := 0; b < nbits; b++ {
+			weight := 0
+			for _, d := range dw {
+				weight += int(d >> uint(b) & 1)
+			}
+			row := rows[weight]
+			m := 0
+			for j, c := range row.Reads {
+				m |= int(cw[c]>>uint(b)&1) << uint(j)
+			}
+			ones += int(row.Table[m/64] >> uint(m%64) & 1)
+		}
+	}
+	return float64(ones) / float64(length)
+}
+
+// TestRowKernelWideRows pins the kernel on rows that read several
+// coefficients (a majority, an XOR and a constant row) against the
+// stateful reference, so the multi-read path is exercised here and not
+// only through a degraded optical circuit.
+func TestRowKernelWideRows(t *testing.T) {
+	seeds := SeedLayout{DataOffset: 3, DataStride: 0x1234567, CoefOffset: 1 << 63, CoefStride: 0x9E3779B9}
+	coef := []float64{0.3, 1, 0.6, 0}
+	rows := []DecisionRow{
+		{Reads: []int{0, 1, 2}, Table: []uint64{0b11101000}}, // majority of z0, z1, z2
+		{Reads: []int{0, 2}, Table: []uint64{0b0110}},        // z0 XOR z2
+		{Reads: nil, Table: []uint64{1}},                     // constant 1
+		{Reads: []int{3}, Table: []uint64{0b10}},             // z3 (always 0)
+	}
+	k := NewRowKernel(seeds, coef, rows)
+	for _, length := range []int{1, 63, 64, 65, 1000, 4096} {
+		for _, seed := range batchSeeds {
+			for _, x := range []float64{0, 1, 0.5, 0.8} {
+				got := k.Value(seed, x, length)
+				if want := referenceRowValue(seeds, coef, rows, seed, x, length); got != want {
+					t.Fatalf("len %d seed %x x=%g: kernel %g vs reference %g", length, seed, x, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestEvaluateBatchErrors(t *testing.T) {
 	if _, err := EvaluateBatch(repPoly(2), []float64{0.5}, 0, 1); err == nil {
 		t.Error("zero stream length accepted")

@@ -16,8 +16,12 @@ import (
 // whose "planes" are the bit-planes of a carry-save counter.)
 //
 // All fill kernels write exactly WordsFor(n) words and leave bits past
-// n clear, so the combinators below need no tail masking except after
-// complement; PlaneOnes can then popcount whole words.
+// n clear, so the combinators below need no tail masking and PlaneOnes
+// can popcount whole words.
+//
+// The fill kernels and combinators are the references for the
+// counter-indexed AbsDiffOnes at the end of this file, which draws
+// only the clocks a multiplexer routes to its output.
 
 // WordsFor returns the number of 64-bit words covering n bits.
 func WordsFor(n int) int { return (n + 63) / 64 }
@@ -67,76 +71,25 @@ func FillPlane(src NumberSource, p float64, n int, dst []uint64) {
 	}
 }
 
-// FillCorrelatedPlanes fills pa and pb with *maximally correlated*
-// n-bit streams of values a and b: each clock draws ONE shared uniform
-// sample and thresholds it against both probabilities, so the streams
-// overlap as much as their values allow and XOR computes |a−b| exactly
-// (the absolute-difference idiom of the edge-detection workload).
-//
-// Unlike FillPlane, one sample is consumed per bit even for degenerate
-// probabilities — the draw is shared, so it cannot be skipped for one
-// threshold only. This matches a serial loop that draws r once and
-// sets bit i of pa iff r < a and of pb iff r < b.
-func FillCorrelatedPlanes(src NumberSource, a, b float64, n int, pa, pb []uint64) {
-	words := WordsFor(n)
-	checkPlane("pa", pa, words)
-	checkPlane("pb", pb, words)
-	if sm, ok := src.(*SplitMix64); ok {
-		// Devirtualized integer-domain fast path (see ProbThreshold),
-		// with the comparisons made branchless: k and thr both sit
-		// far below 2^63, so k < thr iff k−thr wraps, i.e. bit 63 of
-		// the difference. Stochastic bits are maximally unpredictable
-		// — a branch per comparator would mispredict half the time.
-		thrA, thrB := ProbThreshold(a), ProbThreshold(b)
-		for w := 0; w < words; w++ {
-			nbits := planeWordBits(n, w)
-			var wa, wb uint64
-			for t := 0; t < nbits; t++ {
-				k := sm.NextUint64() >> 11
-				// LSB-first via shift-in at the top: the word ends
-				// with clock t's bit at position t after nbits
-				// right-shifts (the partial-word tail is realigned
-				// below), with only constant shifts in the loop.
-				wa = wa>>1 | (k-thrA)&(1<<63)
-				wb = wb>>1 | (k-thrB)&(1<<63)
-			}
-			if nbits < 64 {
-				wa >>= 64 - uint(nbits)
-				wb >>= 64 - uint(nbits)
-			}
-			pa[w], pb[w] = wa, wb
-		}
-		return
-	}
-	for w := 0; w < words; w++ {
-		nbits := planeWordBits(n, w)
-		var wa, wb uint64
-		for t := 0; t < nbits; t++ {
-			r := src.Next()
-			if r < a {
-				wa |= 1 << uint(t)
-			}
-			if r < b {
-				wb |= 1 << uint(t)
-			}
-		}
-		pa[w], pb[w] = wa, wb
-	}
-}
-
 // FillAbsDiffPlane fills dst with the n-bit absolute-difference
-// stream |a−b|: exactly FillCorrelatedPlanes followed by XorPlanes of
-// the pair, fused so the pair never materializes — bit t is set iff
-// the shared draw falls between the two thresholds. Tiled engines use
-// this for the XOR-as-absolute-difference gate; the unfused form
-// remains for pipelines that need the pair itself.
+// stream |a−b| of a maximally correlated pair: each clock draws ONE
+// uniform sample shared by both comparators, so the streams overlap as
+// much as their values allow and their XOR — bit t is set iff the draw
+// falls between the two thresholds — is |a−b| exactly (the
+// absolute-difference gate of the edge-detection workload). Unlike
+// FillPlane, one sample is consumed per bit even for degenerate
+// probabilities, since the draw is shared. It is the reference for
+// AbsDiffOnes.
 func FillAbsDiffPlane(src NumberSource, a, b float64, n int, dst []uint64) {
 	words := WordsFor(n)
 	checkPlane("dst", dst, words)
 	if sm, ok := src.(*SplitMix64); ok {
-		// Branchless band test (see FillCorrelatedPlanes): the XOR of
-		// the two wrap indicators is 1 iff k lands between the
-		// thresholds.
+		// Devirtualized integer-domain fast path (see ProbThreshold),
+		// branchless: k and both thresholds sit far below 2^63, so
+		// k < thr iff k−thr wraps, and the XOR of the two wrap
+		// indicators is 1 iff k lands between the thresholds. Clock
+		// t's bit is shifted in at the top, so the word ends LSB-first
+		// after nbits shifts (a partial tail is realigned below).
 		thrA, thrB := ProbThreshold(a), ProbThreshold(b)
 		for w := 0; w < words; w++ {
 			nbits := planeWordBits(n, w)
@@ -165,17 +118,6 @@ func FillAbsDiffPlane(src NumberSource, a, b float64, n int, dst []uint64) {
 	}
 }
 
-// XorPlanes stores a XOR b into dst word-at-a-time — the correlated
-// absolute-difference gate (AbsDiffXOR) on planes. dst may alias a or
-// b.
-func XorPlanes(dst, a, b []uint64) {
-	checkPlane("a", a, len(dst))
-	checkPlane("b", b, len(dst))
-	for i := range dst {
-		dst[i] = a[i] ^ b[i]
-	}
-}
-
 // AndPlanes stores a AND b into dst — the independent-stream
 // multiplier (Multiply) on planes. dst may alias a or b.
 func AndPlanes(dst, a, b []uint64) {
@@ -183,22 +125,6 @@ func AndPlanes(dst, a, b []uint64) {
 	checkPlane("b", b, len(dst))
 	for i := range dst {
 		dst[i] = a[i] & b[i]
-	}
-}
-
-// NotPlanes stores the complement of a into dst — the 1−v gate
-// (Complement) on planes. n is the stream length; bits past n are
-// cleared so the zero-tail invariant survives complementing. dst may
-// alias a.
-func NotPlanes(dst, a []uint64, n int) {
-	words := WordsFor(n)
-	checkPlane("dst", dst, words)
-	checkPlane("a", a, words)
-	for i := 0; i < words; i++ {
-		dst[i] = ^a[i]
-	}
-	if rem := uint(n % 64); rem != 0 && words > 0 {
-		dst[words-1] &= (1 << rem) - 1
 	}
 }
 
@@ -215,12 +141,54 @@ func MuxPlanes(dst, sel, a, b []uint64) {
 }
 
 // PlaneOnes returns the number of set bits. With the zero-tail
-// invariant maintained by the fill kernels and NotPlanes, this is the
-// stream's ones count; value = PlaneOnes(p)/n.
+// invariant maintained by the fill kernels, this is the stream's ones
+// count; value = PlaneOnes(p)/n.
 func PlaneOnes(p []uint64) int {
 	c := 0
 	for _, w := range p {
 		c += bits.OnesCount64(w)
 	}
 	return c
+}
+
+// Clocks is an ascending set of clock indices of a stream, held as the
+// SplitMix64 counter offsets of those draws, so a kernel reads clock t
+// of any seed's stream with one add. Build it with SplitPlane.
+type Clocks struct{ ctr []uint64 }
+
+// Len returns the number of clocks in the set.
+func (c Clocks) Len() int { return len(c.ctr) }
+
+// SplitPlane returns the clocks at which the n-bit plane sel is 0 and
+// those at which it is 1: the two routes of a multiplexer with select
+// stream sel.
+func SplitPlane(sel []uint64, n int) (zeros, ones Clocks) {
+	checkPlane("sel", sel, WordsFor(n))
+	set := PlaneOnes(sel[:WordsFor(n)])
+	zeros.ctr = make([]uint64, 0, n-set)
+	ones.ctr = make([]uint64, 0, set)
+	for t := 0; t < n; t++ {
+		if sel[t/64]>>uint(t%64)&1 == 0 {
+			zeros.ctr = append(zeros.ctr, splitMixCounter(t))
+		} else {
+			ones.ctr = append(ones.ctr, splitMixCounter(t))
+		}
+	}
+	return zeros, ones
+}
+
+// AbsDiffOnes counts the clocks in cs at which the absolute-difference
+// stream of FillAbsDiffPlane(NewSplitMix64(seed), a, b, ...) is 1: it
+// draws SplitMix64(seed) at those clocks only, by counter index, and
+// tests each draw against the band between the two thresholds. Masking
+// FillAbsDiffPlane's plane to cs and counting its ones gives the same
+// number.
+func AbsDiffOnes(seed uint64, a, b float64, cs Clocks) int {
+	thrA, thrB := ProbThreshold(a), ProbThreshold(b)
+	ones := 0
+	for _, ctr := range cs.ctr {
+		k := splitMixMix(seed+ctr) >> 11
+		ones += int(((k - thrA) ^ (k - thrB)) >> 63)
+	}
+	return ones
 }

@@ -77,104 +77,68 @@ func referenceCorrelatedPair(src NumberSource, a, b float64, n int) (*Bitstream,
 	return sa, sb
 }
 
-func TestFillCorrelatedPlanesMatchesSerial(t *testing.T) {
-	for _, n := range []int{1, 64, 65, 777} {
-		for _, pair := range [][2]float64{{0.3, 0.7}, {0, 1}, {0.5, 0.5}, {1, 0.2}, {0, 0}} {
-			a, b := pair[0], pair[1]
-			wa, wb := referenceCorrelatedPair(NewSplitMix64(9), a, b, n)
-			pa := make([]uint64, WordsFor(n))
-			pb := make([]uint64, WordsFor(n))
-			FillCorrelatedPlanes(NewSplitMix64(9), a, b, n, pa, pb)
-			for w := 0; w < wa.WordCount(); w++ {
-				if pa[w] != wa.Word(w) || pb[w] != wb.Word(w) {
-					t.Fatalf("n=%d (%g,%g) word %d: (%x,%x) vs (%x,%x)",
-						n, a, b, w, pa[w], pb[w], wa.Word(w), wb.Word(w))
-				}
-			}
-
-			// Generic-source path (no SplitMix64 devirtualization).
-			ga, gb := referenceCorrelatedPair(NewChaoticSource(0.11), a, b, n)
-			FillCorrelatedPlanes(NewChaoticSource(0.11), a, b, n, pa, pb)
-			for w := 0; w < ga.WordCount(); w++ {
-				if pa[w] != ga.Word(w) || pb[w] != gb.Word(w) {
-					t.Fatalf("chaotic n=%d (%g,%g) word %d differs", n, a, b, w)
-				}
-			}
-		}
-	}
-}
-
-// TestFillCorrelatedPlanesConsumption: the pair fill always consumes
-// one draw per clock — even for degenerate probabilities, because the
-// draw is shared — so differently parameterized fills stay aligned.
-func TestFillCorrelatedPlanesConsumption(t *testing.T) {
-	const n = 130
-	pa := make([]uint64, WordsFor(n))
-	pb := make([]uint64, WordsFor(n))
-	src := NewSplitMix64(3)
-	FillCorrelatedPlanes(src, 0, 1, n, pa, pb)
-	ref := NewSplitMix64(3)
-	for i := 0; i < n; i++ {
-		ref.Next()
-	}
-	if src.Next() != ref.Next() {
-		t.Error("degenerate pair fill consumed wrong number of draws")
-	}
-	if PlaneOnes(pa) != 0 || PlaneOnes(pb) != n {
-		t.Errorf("degenerate fill: %d / %d ones", PlaneOnes(pa), PlaneOnes(pb))
-	}
-}
-
 // TestCorrelatedXorIsAbsDiff: the whole point of sharing the draw —
 // XOR of the pair converges to |a−b|, far below the independent-stream
 // expectation a(1−b) + b(1−a).
 func TestCorrelatedXorIsAbsDiff(t *testing.T) {
 	const n = 1 << 16
 	a, b := 0.7, 0.45
-	pa := make([]uint64, WordsFor(n))
-	pb := make([]uint64, WordsFor(n))
-	FillCorrelatedPlanes(NewSplitMix64(1), a, b, n, pa, pb)
-	d := make([]uint64, WordsFor(n))
-	XorPlanes(d, pa, pb)
-	got := float64(PlaneOnes(d)) / n
+	pa, pb := referenceCorrelatedPair(NewSplitMix64(1), a, b, n)
+	got := pa.Xor(pb).Value()
 	if math.Abs(got-math.Abs(a-b)) > 0.01 {
 		t.Errorf("correlated XOR = %g, want |a-b| = %g", got, math.Abs(a-b))
 	}
-	if c := Correlation(planeToBitstream(pa, n), planeToBitstream(pb, n)); c < 0.99 {
+	if c := Correlation(pa, pb); c < 0.99 {
 		t.Errorf("pair correlation = %g, want ~1", c)
 	}
 }
 
 // TestFillAbsDiffPlaneMatchesPairXor: the fused gate equals the
-// correlated pair followed by XOR, on both source paths.
+// serial correlated pair followed by XOR, on both source paths.
 func TestFillAbsDiffPlaneMatchesPairXor(t *testing.T) {
 	for _, n := range []int{1, 64, 65, 777} {
 		for _, pair := range [][2]float64{{0.3, 0.7}, {0, 1}, {0.5, 0.5}, {1, 0.2}, {0.9, 0.9}} {
 			a, b := pair[0], pair[1]
-			words := WordsFor(n)
-			pa := make([]uint64, words)
-			pb := make([]uint64, words)
-			want := make([]uint64, words)
-			got := make([]uint64, words)
+			got := make([]uint64, WordsFor(n))
 
-			FillCorrelatedPlanes(NewSplitMix64(13), a, b, n, pa, pb)
-			XorPlanes(want, pa, pb)
+			pa, pb := referenceCorrelatedPair(NewSplitMix64(13), a, b, n)
+			want := pa.Xor(pb)
 			FillAbsDiffPlane(NewSplitMix64(13), a, b, n, got)
-			for w := range want {
-				if got[w] != want[w] {
-					t.Fatalf("n=%d (%g,%g) word %d: %x vs %x", n, a, b, w, got[w], want[w])
+			for w := 0; w < want.WordCount(); w++ {
+				if got[w] != want.Word(w) {
+					t.Fatalf("n=%d (%g,%g) word %d: %x vs %x", n, a, b, w, got[w], want.Word(w))
 				}
 			}
 
-			FillCorrelatedPlanes(NewChaoticSource(0.2), a, b, n, pa, pb)
-			XorPlanes(want, pa, pb)
+			pa, pb = referenceCorrelatedPair(NewChaoticSource(0.2), a, b, n)
+			want = pa.Xor(pb)
 			FillAbsDiffPlane(NewChaoticSource(0.2), a, b, n, got)
-			for w := range want {
-				if got[w] != want[w] {
+			for w := 0; w < want.WordCount(); w++ {
+				if got[w] != want.Word(w) {
 					t.Fatalf("chaotic n=%d (%g,%g) word %d differs", n, a, b, w)
 				}
 			}
 		}
+	}
+}
+
+// TestFillAbsDiffPlaneConsumption: the fused gate consumes one draw
+// per clock even for degenerate probabilities, because the draw is
+// shared by both comparators.
+func TestFillAbsDiffPlaneConsumption(t *testing.T) {
+	const n = 130
+	d := make([]uint64, WordsFor(n))
+	src := NewSplitMix64(3)
+	FillAbsDiffPlane(src, 0, 1, n, d)
+	ref := NewSplitMix64(3)
+	for i := 0; i < n; i++ {
+		ref.Next()
+	}
+	if src.Next() != ref.Next() {
+		t.Error("degenerate fill consumed wrong number of draws")
+	}
+	if PlaneOnes(d) != n {
+		t.Errorf("|0-1| fill: %d ones, want %d", PlaneOnes(d), n)
 	}
 }
 
@@ -210,21 +174,13 @@ func TestPlaneCombinatorsMatchBitstreamGates(t *testing.T) {
 			}
 		}
 	}
-	XorPlanes(dst, pa, pb)
-	check("xor", ba.Xor(bb))
 	AndPlanes(dst, pa, pb)
 	check("and", ba.And(bb))
+	if got := PlaneOnes(dst); got != ba.And(bb).Ones() {
+		t.Errorf("and ones = %d, want %d", got, ba.And(bb).Ones())
+	}
 	MuxPlanes(dst, ps, pa, pb)
 	check("mux", Mux(bs, ba, bb))
-	NotPlanes(dst, pa, n)
-	check("not", ba.Not())
-	// The complement must preserve the zero-tail invariant.
-	if dst[words-1]>>(uint(n%64)) != 0 {
-		t.Error("NotPlanes left tail bits set")
-	}
-	if got := PlaneOnes(dst); got != n-ba.Ones() {
-		t.Errorf("complement ones = %d, want %d", got, n-ba.Ones())
-	}
 }
 
 // TestPlaneAliasing: combinators allow dst to alias an input — the
@@ -234,13 +190,15 @@ func TestPlaneAliasing(t *testing.T) {
 	words := WordsFor(n)
 	pa := make([]uint64, words)
 	pb := make([]uint64, words)
+	ps := make([]uint64, words)
 	FillPlane(NewSplitMix64(4), 0.4, n, pa)
 	FillPlane(NewSplitMix64(5), 0.8, n, pb)
-	want := planeToBitstream(pa, n).Xor(planeToBitstream(pb, n))
-	XorPlanes(pa, pa, pb)
+	FillPlane(NewSplitMix64(6), 0.5, n, ps)
+	want := Mux(planeToBitstream(ps, n), planeToBitstream(pa, n), planeToBitstream(pb, n))
+	MuxPlanes(pa, ps, pa, pb)
 	for w := 0; w < want.WordCount(); w++ {
 		if pa[w] != want.Word(w) {
-			t.Fatalf("aliased xor word %d differs", w)
+			t.Fatalf("aliased mux word %d differs", w)
 		}
 	}
 }
@@ -257,12 +215,70 @@ func TestPlaneSizePanics(t *testing.T) {
 	short := make([]uint64, 1)
 	ok := make([]uint64, 2)
 	mustPanic("FillPlane", func() { FillPlane(NewSplitMix64(1), 0.5, 100, short) })
-	mustPanic("FillCorrelatedPlanes", func() {
-		FillCorrelatedPlanes(NewSplitMix64(1), 0.5, 0.5, 100, ok, short)
-	})
-	mustPanic("XorPlanes", func() { XorPlanes(ok, ok, short) })
+	mustPanic("FillAbsDiffPlane", func() { FillAbsDiffPlane(NewSplitMix64(1), 0.5, 0.5, 100, short) })
+	mustPanic("AndPlanes", func() { AndPlanes(ok, ok, short) })
 	mustPanic("MuxPlanes", func() { MuxPlanes(ok, short, ok, ok) })
-	mustPanic("NotPlanes", func() { NotPlanes(short, short, 100) })
+	mustPanic("SplitPlane", func() { SplitPlane(short, 100) })
+}
+
+// TestSplitPlane: the two clock sets partition [0, n) by the select
+// bit, ascending, each clock held as its counter offset.
+func TestSplitPlane(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 1000} {
+		sel := make([]uint64, WordsFor(n))
+		FillPlane(NewSplitMix64(8), 0.5, n, sel)
+		zeros, ones := SplitPlane(sel, n)
+		if zeros.Len()+ones.Len() != n || ones.Len() != PlaneOnes(sel) {
+			t.Fatalf("n=%d: split %d + %d of %d set", n, zeros.Len(), ones.Len(), PlaneOnes(sel))
+		}
+		var z, o int
+		for clk := 0; clk < n; clk++ {
+			if sel[clk/64]>>uint(clk%64)&1 == 0 {
+				if zeros.ctr[z] != splitMixCounter(clk) {
+					t.Fatalf("n=%d: zero clock %d holds %x", n, clk, zeros.ctr[z])
+				}
+				z++
+			} else {
+				if ones.ctr[o] != splitMixCounter(clk) {
+					t.Fatalf("n=%d: one clock %d holds %x", n, clk, ones.ctr[o])
+				}
+				o++
+			}
+		}
+	}
+}
+
+// TestAbsDiffOnesMatchesMaskedPlane is the identity of the
+// counter-indexed edge kernel: over each route of a ½-select, its
+// count equals the ones of FillAbsDiffPlane's plane masked to that
+// route (the MuxPlanes+PlaneOnes reference), including degenerate and
+// equal values and seeds whose state wraps past 2^64.
+func TestAbsDiffOnesMatchesMaskedPlane(t *testing.T) {
+	seeds := []uint64{0, 7, 1<<64 - 1, 1<<64 - 3000, 1<<64 - splitMixGamma}
+	pairs := [][2]float64{{0.3, 0.7}, {0, 1}, {1, 0}, {0.5, 0.5}, {0, 0}, {1, 1}, {0.999, 0.001}}
+	for _, n := range []int{1, 63, 64, 65, 1000, 4096} {
+		words := WordsFor(n)
+		sel := make([]uint64, words)
+		FillPlane(NewSplitMix64(uint64(n)), 0.5, n, sel)
+		zeros, ones := SplitPlane(sel, n)
+		none := make([]uint64, words)
+		d := make([]uint64, words)
+		routed := make([]uint64, words)
+		for _, seed := range seeds {
+			for _, pair := range pairs {
+				a, b := pair[0], pair[1]
+				FillAbsDiffPlane(NewSplitMix64(seed), a, b, n, d)
+				MuxPlanes(routed, sel, d, none)
+				if got, want := AbsDiffOnes(seed, a, b, zeros), PlaneOnes(routed); got != want {
+					t.Fatalf("n=%d seed %x (%g,%g) sel=0: %d vs %d", n, seed, a, b, got, want)
+				}
+				MuxPlanes(routed, sel, none, d)
+				if got, want := AbsDiffOnes(seed, a, b, ones), PlaneOnes(routed); got != want {
+					t.Fatalf("n=%d seed %x (%g,%g) sel=1: %d vs %d", n, seed, a, b, got, want)
+				}
+			}
+		}
+	}
 }
 
 func TestSplitMix64Reseed(t *testing.T) {

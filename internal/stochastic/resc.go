@@ -26,13 +26,10 @@ type ReSC struct {
 // sources. It returns an error if the polynomial is not
 // SC-representable or the source counts do not match the degree.
 func NewReSC(poly BernsteinPoly, data, coef []NumberSource) (*ReSC, error) {
+	if err := checkPoly(poly); err != nil {
+		return nil, err
+	}
 	n := poly.Degree()
-	if n < 0 {
-		return nil, fmt.Errorf("stochastic: empty polynomial")
-	}
-	if !poly.Representable() {
-		return nil, fmt.Errorf("stochastic: polynomial %v has coefficients outside [0,1]", poly)
-	}
 	if len(data) != n {
 		return nil, fmt.Errorf("stochastic: need %d data sources, got %d", n, len(data))
 	}
@@ -42,18 +39,54 @@ func NewReSC(poly BernsteinPoly, data, coef []NumberSource) (*ReSC, error) {
 	return &ReSC{Poly: poly, DataSources: data, CoefSources: coef}, nil
 }
 
+// checkPoly rejects a polynomial no ReSC can evaluate.
+func checkPoly(poly BernsteinPoly) error {
+	if poly.Degree() < 0 {
+		return fmt.Errorf("stochastic: empty polynomial")
+	}
+	if !poly.Representable() {
+		return fmt.Errorf("stochastic: polynomial %v has coefficients outside [0,1]", poly)
+	}
+	return nil
+}
+
+// SeedLayout places a unit's per-source SplitMix64 seeds relative to
+// its base seed: data source i is seeded with
+// base + DataOffset + i·DataStride, coefficient source j with
+// base + CoefOffset + j·CoefStride. Each backend declares its layout
+// once; its oracle constructor and its batch kernel both read it, so
+// the stateful and the counter-indexed paths draw the same streams.
+type SeedLayout struct {
+	DataOffset, DataStride uint64
+	CoefOffset, CoefStride uint64
+}
+
+// Data returns data source i's seed under base seed base.
+func (l SeedLayout) Data(base uint64, i int) uint64 {
+	return base + l.DataOffset + uint64(i)*l.DataStride
+}
+
+// Coef returns coefficient source j's seed under base seed base.
+func (l SeedLayout) Coef(base uint64, j int) uint64 {
+	return base + l.CoefOffset + uint64(j)*l.CoefStride
+}
+
+// rescSeeds is the electronic ReSC's seed layout (NewReSCWithSeeds,
+// EvaluateBatch).
+var rescSeeds = SeedLayout{DataOffset: 1, DataStride: 0x9E3779B9, CoefOffset: 0xABCDEF, CoefStride: 0x61C88647}
+
 // NewReSCWithSeeds builds a ReSC whose sources are independent
 // SplitMix64 streams derived from seed — the convenient constructor
 // for simulations.
 func NewReSCWithSeeds(poly BernsteinPoly, seed uint64) (*ReSC, error) {
 	n := poly.Degree()
-	data := make([]NumberSource, n)
+	data := make([]NumberSource, max(n, 0))
 	for i := range data {
-		data[i] = NewSplitMix64(seed + uint64(i)*0x9E3779B9 + 1)
+		data[i] = NewSplitMix64(rescSeeds.Data(seed, i))
 	}
 	coef := make([]NumberSource, n+1)
-	for i := range coef {
-		coef[i] = NewSplitMix64(seed + 0xABCDEF + uint64(i)*0x61C88647)
+	for j := range coef {
+		coef[j] = NewSplitMix64(rescSeeds.Coef(seed, j))
 	}
 	return NewReSC(poly, data, coef)
 }

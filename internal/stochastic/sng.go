@@ -268,9 +268,33 @@ func (c *ChaoticSource) Next() float64 {
 // SplitMix64 is a 64-bit counter-based mixing PRNG (the SplitMix64
 // sequence). It is fast, seedable and passes the statistical needs of
 // stochastic computing; used as the default software NumberSource.
+//
+// Counter-based means draw t (0-based) of the generator seeded with s
+// is a pure function of s + (t+1)·γ (splitMixAt). The batch kernels
+// read the stream that way, drawing only the clocks their output
+// reads; the stateful methods below step through it in order.
 type SplitMix64 struct {
 	state uint64
 }
+
+// splitMixGamma is the SplitMix64 state increment γ.
+const splitMixGamma = 0x9E3779B97F4A7C15
+
+// splitMixCounter returns the state offset of draw t, (t+1)·γ: the
+// generator seeded with s returns splitMixMix(s + splitMixCounter(t))
+// from its (t+1)-th NextUint64 call.
+func splitMixCounter(t int) uint64 { return uint64(t+1) * splitMixGamma }
+
+// splitMixMix is SplitMix64's output function of the advanced state.
+func splitMixMix(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
+}
+
+// splitMixAt returns draw t of the generator seeded with seed without
+// stepping through the draws before it.
+func splitMixAt(seed uint64, t int) uint64 { return splitMixMix(seed + splitMixCounter(t)) }
 
 // NewSplitMix64 seeds the generator.
 func NewSplitMix64(seed uint64) *SplitMix64 { return &SplitMix64{state: seed} }
@@ -282,11 +306,8 @@ func (s *SplitMix64) Reseed(seed uint64) { s.state = seed }
 
 // NextUint64 advances the sequence.
 func (s *SplitMix64) NextUint64() uint64 {
-	s.state += 0x9E3779B97F4A7C15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	s.state += splitMixGamma
+	return splitMixMix(s.state)
 }
 
 // Next implements NumberSource.
