@@ -7,20 +7,31 @@ import (
 	"repro/internal/stochastic"
 )
 
-// This file is the word-parallel mirror of the packed ReSC engine in
-// internal/stochastic for the end-to-end optical unit. The noiseless
-// optical datapath is a pure function of the data weight and the
-// coefficient bit-vector — received power thresholded against the
-// calibrated OOK decision level — so 64 clock cycles collapse to: SNG
-// words, a carry-save adder tree for the weight, and a lookup in a
-// precomputed (weight, z-mask) → bit table. The packed path emits
-// bitstreams identical to the serial Step/Evaluate path.
+// This file holds the optical unit's evaluators past the bit-serial
+// Step/Evaluate oracle. The noiseless optical datapath is a pure
+// function of the data weight and the coefficient bit-vector —
+// received power thresholded against the calibrated OOK decision level
+// — so it tabulates into a (weight, z-mask) → bit table.
+//
+// evalPacked is the word-parallel reference (EvaluateWords, Cycles):
+// 64 clock cycles collapse to SNG words, a carry-save adder tree for
+// the weight, and a table lookup. It emits bitstreams identical to the
+// serial path.
+//
+// EvaluateBatch computes only the draws its output reads. Each data
+// weight's row of the table depends on few coefficient bits — one, the
+// selected channel, while the eye is open — so decisionRows reduces
+// every row to the coefficients it reads and its truth table over
+// them, and stochastic.RowKernel draws by counter index just the data
+// bits and those coefficient bits, counting the output. Its value
+// equals evalPacked's on generators seeded by the same unitSeeds.
 
 // decisionTable returns the noiseless output-bit table, a bitset
-// indexed by Circuit.PowerIndex(weight, zmask), building it on first
-// use by thresholding the circuit's shared power table — the finished
-// table is immutable and lock-free to share across batch workers.
-// Returns nil for orders beyond maxTableOrder.
+// indexed by Circuit.PowerIndex(weight, zmask), building it and the
+// batch kernel over its rows on first use by thresholding the
+// circuit's shared power table — both are immutable and lock-free to
+// share across batch workers. Returns nil for orders beyond
+// maxTableOrder.
 func (u *Unit) decisionTable() []uint64 {
 	if u.Circuit.P.Order > maxTableOrder {
 		return nil
@@ -34,8 +45,76 @@ func (u *Unit) decisionTable() []uint64 {
 			}
 		}
 		u.decisions = dec
+		u.kernel = stochastic.NewRowKernel(unitSeeds, u.Poly.Coef, decisionRows(dec, u.Circuit.P.Order))
 	})
 	return u.decisions
+}
+
+// lowHalf[i] marks the bit positions of a word whose index has bit i
+// clear, for i < 6.
+var lowHalf = [6]uint64{
+	0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+	0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF,
+}
+
+// decisionRows reduces each weight's row of an order-n decision
+// bitset (2^(n+1) bits per weight, indexed by z-mask) to the
+// coefficients it reads and its truth table over them. Coefficient i
+// is read iff flipping z-mask bit i changes some decision; the test
+// runs word-wise over the bitset. A row reading every coefficient
+// keeps its slice of the bitset as its table.
+func decisionRows(dec []uint64, n int) []stochastic.DecisionRow {
+	n1 := n + 1
+	rows := make([]stochastic.DecisionRow, n1)
+	for w := range rows {
+		var row []uint64
+		if n1 >= 6 {
+			row = dec[w<<(n1-6) : (w+1)<<(n1-6)]
+		} else {
+			bit := w << n1
+			row = []uint64{dec[bit/64] >> uint(bit%64) & (1<<(1<<n1) - 1)}
+		}
+		var reads []int
+		for i := 0; i < n1; i++ {
+			if dependsOn(row, i) {
+				reads = append(reads, i)
+			}
+		}
+		if len(reads) == n1 {
+			rows[w] = stochastic.DecisionRow{Reads: reads, Table: row}
+			continue
+		}
+		table := make([]uint64, (1<<len(reads)+63)/64)
+		for m := 0; m < 1<<len(reads); m++ {
+			zmask := 0
+			for j, c := range reads {
+				zmask |= (m >> j & 1) << c
+			}
+			table[m/64] |= (row[zmask/64] >> uint(zmask%64) & 1) << uint(m%64)
+		}
+		rows[w] = stochastic.DecisionRow{Reads: reads, Table: table}
+	}
+	return rows
+}
+
+// dependsOn reports whether the row bitset, indexed by z-mask, changes
+// anywhere when z-mask bit i flips.
+func dependsOn(row []uint64, i int) bool {
+	if i >= 6 {
+		s := 1 << (i - 6)
+		for j := range row {
+			if j&s == 0 && row[j] != row[j|s] {
+				return true
+			}
+		}
+		return false
+	}
+	for _, v := range row {
+		if (v^v>>(1<<i))&lowHalf[i] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // drawWord advances the generators one packed word of nbits cycles:
@@ -153,30 +232,27 @@ func (u *Unit) Cycles(x float64, length int, visit func(t, weight, zmask int, re
 	return nil
 }
 
-// evalSeeded evaluates one batch input with fresh sources derived
-// from seed only — the reproducible per-index unit of work behind
-// EvaluateBatch. Falls back to the cache-free serial walk (with a
-// noiseless channel) for orders too large to tabulate.
-func (u *Unit) evalSeeded(seed uint64, x float64, length int) float64 {
-	data, coef := seededSNGs(u.Circuit.P.Order, seed)
-	if dec := u.decisionTable(); dec != nil {
-		return u.evalPacked(dec, data, coef, x, length).Value()
-	}
-	return u.walkSeeded(data, coef, x, length, nil, nil)
-}
-
 // EvaluateBatch computes B(x) for every input with fresh `length`-bit
 // streams, fanning the inputs out over a runtime.GOMAXPROCS-sized
-// worker pool. Input i is evaluated with sources seeded from the
-// unit's seed and i only (stochastic.DeriveSeed), so the result is
-// reproducible regardless of core count or scheduling. The shared
-// circuit state (decision table, threshold) is read-only during the
-// fan-out; EvaluateBatch may itself be called concurrently.
+// worker pool. Input i reads the generators seededSNGs derives from
+// stochastic.DeriveSeed(unit seed, i) — by counter index through the
+// unit's row kernel, or by the cache-free serial walk for orders
+// beyond maxTableOrder — so the result equals evalPacked on those
+// generators and is reproducible regardless of core count or
+// scheduling. The shared circuit state (decision table, kernel,
+// threshold) is read-only during the fan-out; EvaluateBatch may itself
+// be called concurrently.
 func (u *Unit) EvaluateBatch(xs []float64, length int) []float64 {
 	u.decisionTable() // build once, outside the workers
 	out := make([]float64, len(xs))
 	parallel.For(len(xs), func(i int) {
-		out[i] = u.evalSeeded(stochastic.DeriveSeed(u.seed, i), xs[i], length)
+		seed := stochastic.DeriveSeed(u.seed, i)
+		if u.kernel != nil {
+			out[i] = u.kernel.Value(seed, xs[i], length)
+			return
+		}
+		data, coef := seededSNGs(u.Circuit.P.Order, seed)
+		out[i] = u.walkSeeded(data, coef, xs[i], length, nil, nil)
 	})
 	return out
 }

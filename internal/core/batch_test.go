@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -62,6 +63,13 @@ func TestUnitEvaluateWordsMatchesEvaluate(t *testing.T) {
 	}
 }
 
+// packedSeeded is the word-parallel reference for one batch input:
+// evalPacked on the generators seededSNGs derives from seed.
+func packedSeeded(u *Unit, seed uint64, x float64, length int) float64 {
+	data, coef := seededSNGs(u.Circuit.P.Order, seed)
+	return u.evalPacked(u.decisionTable(), data, coef, x, length).Value()
+}
+
 func TestUnitEvaluateBatchMatchesSeededOracle(t *testing.T) {
 	u := paperUnit(t, 21)
 	oracle := paperUnit(t, 21)
@@ -72,7 +80,7 @@ func TestUnitEvaluateBatchMatchesSeededOracle(t *testing.T) {
 		t.Fatalf("batch length %d", len(got))
 	}
 	for i, x := range xs {
-		want := oracle.evalSeeded(stochastic.DeriveSeed(oracle.seed, i), x, length)
+		want := packedSeeded(oracle, stochastic.DeriveSeed(oracle.seed, i), x, length)
 		if got[i] != want {
 			t.Errorf("x[%d]=%g: batch %g vs seeded oracle %g", i, x, got[i], want)
 		}
@@ -85,25 +93,170 @@ func TestUnitEvaluateBatchMatchesSeededOracle(t *testing.T) {
 	}
 }
 
+// spacedUnit builds a unit for poly on an MRR-first circuit of the
+// polynomial's order at the given channel spacing.
+func spacedUnit(t *testing.T, poly stochastic.BernsteinPoly, spacingNM float64, seed uint64) *Unit {
+	t.Helper()
+	p, err := MRRFirst(MRRFirstSpec{Order: poly.Degree(), WLSpacingNM: spacingNM})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCircuit(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := NewUnit(c, poly, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
+// rowReads returns the coefficients each of the unit's decision rows
+// reads.
+func rowReads(u *Unit) [][]int {
+	rows := decisionRows(u.decisionTable(), u.Circuit.P.Order)
+	reads := make([][]int, len(rows))
+	for w, r := range rows {
+		reads[w] = r.Reads
+	}
+	return reads
+}
+
+// TestDecisionRowsOfDesigns pins the rows the batch kernel reads: the
+// open-eye gamma design reads the selected channel only, while the
+// order-2 circuit at 0.1 nm spacing has crosstalk wide enough that its
+// rows read several coefficients.
+func TestDecisionRowsOfDesigns(t *testing.T) {
+	poly, _, err := stochastic.GammaCorrection(0.45, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(rowReads(spacedUnit(t, poly, 0.3, 1))); got != "[[0] [1] [2] [3] [4] [5] [6]]" {
+		t.Errorf("gamma design at 0.3 nm reads %s", got)
+	}
+	narrow := spacedUnit(t, stochastic.NewBernstein([]float64{0.2, 0.5, 0.9}), 0.1, 1)
+	if got := fmt.Sprint(rowReads(narrow)); got != "[[0 1] [0 1] [0 1 2]]" {
+		t.Errorf("order 2 at 0.1 nm reads %s", got)
+	}
+}
+
+// TestUnitEvaluateBatchMatchesPacked is the identity of the
+// counter-indexed batch kernel against the word-parallel reference:
+// every one of the 256 gray levels plus x in {0, 1}, coefficient
+// vectors with degenerate entries, awkward lengths and seeds whose
+// source states wrap past 2^64, on open-eye designs and on a degraded
+// circuit whose rows read several coefficients.
+func TestUnitEvaluateBatchMatchesPacked(t *testing.T) {
+	xs := []float64{0, 1}
+	for v := 0; v < 256; v++ {
+		xs = append(xs, float64(v)/255)
+	}
+	gamma, _, err := stochastic.GammaCorrection(0.45, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	designs := []struct {
+		name      string
+		poly      stochastic.BernsteinPoly
+		spacingNM float64
+	}{
+		{"gamma-0.3nm", gamma, 0.3},
+		{"degenerate-0.3nm", stochastic.NewBernstein([]float64{0, 1, 0.3, 1, 0}), 0.3},
+		{"order2-0.1nm", stochastic.NewBernstein([]float64{0.2, 0.5, 0.9}), 0.1},
+		{"order2-0.1nm-degenerate", stochastic.NewBernstein([]float64{0, 0.6, 1}), 0.1},
+	}
+	wide := false
+	for _, d := range designs {
+		for _, seed := range []uint64{12, 1<<64 - 1, 1<<64 - 0x5DEECE66D} {
+			u := spacedUnit(t, d.poly, d.spacingNM, seed)
+			for _, reads := range rowReads(u) {
+				wide = wide || len(reads) >= 2
+			}
+			for _, length := range []int{1, 63, 64, 65, 1000, 4096} {
+				got := u.EvaluateBatch(xs, length)
+				for i, x := range xs {
+					if want := packedSeeded(u, stochastic.DeriveSeed(seed, i), x, length); got[i] != want {
+						t.Fatalf("%s seed %x len %d x[%d]=%g: batch %g vs packed %g", d.name, seed, length, i, x, got[i], want)
+					}
+				}
+			}
+		}
+	}
+	if !wide {
+		t.Error("no design has a row reading 2+ coefficients: the wide-row path went untested")
+	}
+}
+
+// TestDecisionRowsMatchBitset checks the word-wise row reduction
+// against its per-bit definition on random bitsets for orders 1-7
+// (rows narrower and wider than a word): a coefficient is read iff
+// flipping its bit changes some decision, and the truth table
+// reproduces every decision of the row.
+func TestDecisionRowsMatchBitset(t *testing.T) {
+	src := stochastic.NewSplitMix64(5)
+	for n := 1; n <= 7; n++ {
+		n1 := n + 1
+		for trial := 0; trial < 20; trial++ {
+			dec := make([]uint64, (n1<<n1+63)/64)
+			for i := range dec {
+				switch trial % 4 {
+				case 0: // every row is z0
+					dec[i] = 0xAAAAAAAAAAAAAAAA
+				case 1: // constant rows but one bit
+					dec[i] = 0
+				default: // random, at two densities
+					dec[i] = src.NextUint64() & src.NextUint64()
+					if trial%4 == 3 {
+						dec[i] |= src.NextUint64()
+					}
+				}
+			}
+			if trial%4 == 1 {
+				i := int(src.NextUint64() % uint64(n1<<n1))
+				dec[i/64] |= 1 << uint(i%64)
+			}
+			bit := func(w, z int) int { i := w<<n1 | z; return int(dec[i/64] >> uint(i%64) & 1) }
+			for w, row := range decisionRows(dec, n) {
+				var want []int
+				for i := 0; i < n1; i++ {
+					for z := 0; z < 1<<n1; z++ {
+						if bit(w, z) != bit(w, z^1<<i) {
+							want = append(want, i)
+							break
+						}
+					}
+				}
+				if fmt.Sprint(row.Reads) != fmt.Sprint(want) {
+					t.Fatalf("n=%d trial %d row %d: reads %v, want %v", n, trial, w, row.Reads, want)
+				}
+				for z := 0; z < 1<<n1; z++ {
+					m := 0
+					for j, c := range row.Reads {
+						m |= (z >> c & 1) << j
+					}
+					if got := int(row.Table[m/64] >> uint(m%64) & 1); got != bit(w, z) {
+						t.Fatalf("n=%d trial %d row %d zmask %b: table %d, want %d", n, trial, w, z, got, bit(w, z))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestUnitEvalSeededFallbackMatchesPacked pins the cache-free serial
-// fallback (used beyond maxTableOrder) to the packed path on a
+// walk (the batch path beyond maxTableOrder) to the packed path on a
 // tabulatable order, so the two implementations cannot drift.
 func TestUnitEvalSeededFallbackMatchesPacked(t *testing.T) {
 	u := paperUnit(t, 17)
-	dec := u.decisionTable()
-	if dec == nil {
+	if u.decisionTable() == nil {
 		t.Fatal("order 2 should tabulate")
 	}
 	for i, x := range []float64{0, 0.4, 1} {
 		seed := stochastic.DeriveSeed(99, i)
+		packed := packedSeeded(u, seed, x, 257)
 		data, coef := seededSNGs(u.Circuit.P.Order, seed)
-		packed := u.evalPacked(dec, data, coef, x, 257).Value()
-
-		// Re-run through the serial fallback by hiding the table.
-		fresh := paperUnit(t, 17)
-		fresh.decOnce.Do(func() {}) // leave decisions nil
-		serial := fresh.evalSeeded(seed, x, 257)
-		if packed != serial {
+		if serial := u.walkSeeded(data, coef, x, 257, nil, nil); packed != serial {
 			t.Errorf("x=%g: packed %g vs serial fallback %g", x, packed, serial)
 		}
 	}

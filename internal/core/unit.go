@@ -29,10 +29,12 @@ type Unit struct {
 	// decisions is the fully-tabulated noiseless output bit, a bitset
 	// over Circuit.PowerIndex(weight, zmask), built once on first
 	// word-parallel evaluation (see decisionTable) by thresholding the
-	// circuit's shared received-power table. Immutable after decOnce
-	// fires, so the batch workers share it without locking.
+	// circuit's shared received-power table; kernel is the batch
+	// kernel over the rows derived from it. Immutable after decOnce
+	// fires, so the batch workers share them without locking.
 	decOnce   sync.Once
 	decisions []uint64
+	kernel    *stochastic.RowKernel
 }
 
 // NewUnit builds a unit for the polynomial on the given circuit. The
@@ -52,16 +54,20 @@ func NewUnit(c *Circuit, poly stochastic.BernsteinPoly, seed uint64) (*Unit, err
 	return u, nil
 }
 
+// unitSeeds is the optical unit's per-source seed layout, read by
+// seededSNGs and by the batch kernel alike.
+var unitSeeds = stochastic.SeedLayout{DataOffset: 1, DataStride: 0x9E3779B9, CoefOffset: 0x5DEECE66D, CoefStride: 0x61C88647}
+
 // seededSNGs derives the unit's n data and n+1 coefficient generators
-// from a base seed as independent SplitMix64 streams.
+// from a base seed as independent SplitMix64 streams (unitSeeds).
 func seededSNGs(order int, seed uint64) (data, coef []*stochastic.SNG) {
 	data = make([]*stochastic.SNG, order)
 	for i := range data {
-		data[i] = stochastic.NewSNG(stochastic.NewSplitMix64(seed + uint64(i)*0x9E3779B9 + 1))
+		data[i] = stochastic.NewSNG(stochastic.NewSplitMix64(unitSeeds.Data(seed, i)))
 	}
 	coef = make([]*stochastic.SNG, order+1)
-	for i := range coef {
-		coef[i] = stochastic.NewSNG(stochastic.NewSplitMix64(seed + 0x5DEECE66D + uint64(i)*0x61C88647))
+	for j := range coef {
+		coef[j] = stochastic.NewSNG(stochastic.NewSplitMix64(unitSeeds.Coef(seed, j)))
 	}
 	return data, coef
 }
