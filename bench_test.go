@@ -255,14 +255,12 @@ func BenchmarkGammaReSC(b *testing.B) {
 	})
 }
 
-// BenchmarkRobertsCross contrasts the bit-serial Robert's-cross
-// oracle with the packed tiled engine at the paper-scale stream
-// length — the tentpole speedup (≥4× single-core, times the core
-// count from the tile pool). The two paths emit bit-identical images.
-// The checkerboard is the canonical edge test card, where the
-// engine's flat-window elision also kicks in (~17× single-core); the
-// dense radial image defeats the elision and isolates the fused
-// word-kernel gain alone.
+// BenchmarkRobertsCross runs the Robert's-cross kernel on the serial
+// engine and on the parallel engine (pinned to one core and on all
+// cores) at the paper-scale stream length; every run emits the same
+// image. The checkerboard is the canonical edge test card, where the
+// kernel's flat-window elision skips most pixels; the dense radial
+// image defeats the elision and isolates the per-clock draw cost.
 func BenchmarkRobertsCross(b *testing.B) {
 	const streamLen, seed = 4096, 7
 	run := func(name string, singleCore bool, src *img.Gray, f func(*img.Gray) (*img.Gray, error)) {

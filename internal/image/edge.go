@@ -53,38 +53,16 @@ func pixelSeeds(seed uint64, idx int) (uint64, uint64) {
 // amortize scheduling and fine enough to load-balance small images.
 const edgeRowsPerTile = 8
 
-// edgeScratch is one worker's reusable plane set: the two
-// absolute-difference planes, the averaged output plane and a
-// reseedable uniform source. One allocation per worker, zero per
-// pixel.
-type edgeScratch struct {
-	d1, d2, e []uint64
-	src       *stochastic.SplitMix64
-}
-
-func newEdgeScratch(words int) *edgeScratch {
-	buf := make([]uint64, 3*words)
-	return &edgeScratch{
-		d1:  buf[0*words : 1*words],
-		d2:  buf[1*words : 2*words],
-		e:   buf[2*words : 3*words],
-		src: stochastic.NewSplitMix64(0),
-	}
-}
-
-// absDiffPlane fills dst with the |va−vb| stream of the correlated
-// pixel pair (a, b) seeded by seed. Equal gray levels are elided:
-// identically thresholded streams XOR to exactly zero, so flat
-// diagonals — most of a natural image — cost no RNG draws, and the
-// per-pixel source is discarded either way, so the elision is
-// invisible to the oracle contract.
-func (s *edgeScratch) absDiffPlane(dst []uint64, a, b uint8, seed uint64, streamLen int) {
+// absDiffOnes counts the ones of the |va−vb| stream of the correlated
+// pixel pair (a, b) seeded by seed over the clocks cs. Equal gray
+// levels are elided: identically thresholded streams XOR to exactly
+// zero, so flat diagonals — most of a natural image — cost no RNG
+// draws.
+func absDiffOnes(a, b uint8, seed uint64, cs stochastic.Clocks) int {
 	if a == b {
-		clear(dst)
-		return
+		return 0
 	}
-	s.src.Reseed(seed)
-	stochastic.FillAbsDiffPlane(s.src, float64(a)/255, float64(b)/255, streamLen, dst)
+	return stochastic.AbsDiffOnes(seed, float64(a)/255, float64(b)/255, cs)
 }
 
 // RobertsCrossSC computes the operator stochastically with
@@ -93,18 +71,24 @@ func (s *edgeScratch) absDiffPlane(dst []uint64, a, b uint8, seed uint64, stream
 // absolute difference; the two difference streams and the averaging
 // select stream are mutually independent.
 //
-// This is the packed tiled engine: row bands are independent work
-// items dispatched on the given engine, and each worker streams its
-// pixels through word-level plane kernels (stochastic.FillAbsDiffPlane
-// / MuxPlanes) on reusable per-worker scratch — no per-pixel Bitstream
-// allocations, and flat diagonal pairs elide their RNG draws entirely.
-// Every pixel's randomness derives from its index alone (pixelSeeds),
-// so the output is bit-identical on every conforming engine and
-// deterministic on any GOMAXPROCS. A non-positive stream length is an
-// error (it would silently produce a garbage image), as is a nil
-// engine. A fired ctx stops the band fan-out at a band boundary and
-// returns its error (or the *parallel.PanicError of a faulting band). The word-level kernels themselves are pinned against their
-// bit-serial definitions by the stochastic package's plane tests.
+// The ½-select MUX keeps the first difference only where the select
+// is 0 and the second only where it is 1, so the kernel draws only
+// those bits: the select plane is built once per call and split into
+// its two clock sets (stochastic.SplitPlane), and each pixel counts the
+// first difference's band hits over the select-0 clocks and the
+// second's over the select-1 clocks by counter index
+// (stochastic.AbsDiffOnes) — one draw per clock instead of two, with
+// no per-pixel or per-worker buffers, and flat diagonal pairs elide
+// their draws entirely. The count equals the plane pipeline
+// FillAbsDiffPlane, MuxPlanes, PlaneOnes, which stays as its
+// reference. Row bands are independent work items dispatched on the
+// given engine, and every pixel's randomness derives from its index
+// alone (pixelSeeds), so the output is bit-identical on every
+// conforming engine and deterministic on any GOMAXPROCS. A
+// non-positive stream length is an error (it would silently produce a
+// garbage image), as is a nil engine. A fired ctx stops the band
+// fan-out at a band boundary and returns its error (or the
+// *parallel.PanicError of a faulting band).
 func RobertsCrossSC(ctx context.Context, e engine.Engine, src *Gray, streamLen int, seed uint64) (*Gray, error) {
 	if err := engine.Check(e); err != nil {
 		return nil, err
@@ -117,29 +101,17 @@ func RobertsCrossSC(ctx context.Context, e engine.Engine, src *Gray, streamLen i
 	if rows < 1 || cols < 1 {
 		return out, nil
 	}
-	words := stochastic.WordsFor(streamLen)
-	sel := make([]uint64, words)
+	sel := make([]uint64, stochastic.WordsFor(streamLen))
 	stochastic.FillPlane(stochastic.NewSplitMix64(seed^selSalt), 0.5, streamLen, sel)
+	via0, via1 := stochastic.SplitPlane(sel, streamLen)
 	tiles := (rows + edgeRowsPerTile - 1) / edgeRowsPerTile
-	workers := e.Workers(tiles)
-	scratch := make([]*edgeScratch, workers)
-	if err := e.Run(ctx, tiles, workers, func(worker, t int) {
-		s := scratch[worker]
-		if s == nil {
-			s = newEdgeScratch(words)
-			scratch[worker] = s
-		}
-		yEnd := (t + 1) * edgeRowsPerTile
-		if yEnd > rows {
-			yEnd = rows
-		}
+	if err := e.Run(ctx, tiles, e.Workers(tiles), func(_, t int) {
+		yEnd := min((t+1)*edgeRowsPerTile, rows)
 		for y := t * edgeRowsPerTile; y < yEnd; y++ {
 			for x := 0; x < cols; x++ {
 				s1, s2 := pixelSeeds(seed, y*src.W+x)
-				s.absDiffPlane(s.d1, src.At(x, y), src.At(x+1, y+1), s1, streamLen)
-				s.absDiffPlane(s.d2, src.At(x+1, y), src.At(x, y+1), s2, streamLen)
-				stochastic.MuxPlanes(s.e, sel, s.d1, s.d2)
-				ones := stochastic.PlaneOnes(s.e)
+				ones := absDiffOnes(src.At(x, y), src.At(x+1, y+1), s1, via0) +
+					absDiffOnes(src.At(x+1, y), src.At(x, y+1), s2, via1)
 				out.Set(x, y, quantize(float64(ones)/float64(streamLen)))
 			}
 		}

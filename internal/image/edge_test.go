@@ -2,8 +2,10 @@ package image
 
 import (
 	"context"
-	"repro/internal/engine"
 	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/stochastic"
 )
 
 func TestRobertsCrossExactOnStep(t *testing.T) {
@@ -124,5 +126,69 @@ func TestImageQualityRegression(t *testing.T) {
 	}
 	if psnr := PSNR(GammaExact(gammaSrc, 0.45), g); psnr < 36 {
 		t.Errorf("gamma PSNR regressed to %.2f dB", psnr)
+	}
+}
+
+// referenceRobertsCross is the plane pipeline the counter-indexed
+// kernel must reproduce: per pixel, both absolute-difference planes
+// (FillAbsDiffPlane), the ½-select multiplex (MuxPlanes) and its ones
+// count (PlaneOnes), with no elision.
+func referenceRobertsCross(src *Gray, streamLen int, seed uint64) *Gray {
+	out := NewGray(src.W, src.H)
+	words := stochastic.WordsFor(streamLen)
+	sel := make([]uint64, words)
+	stochastic.FillPlane(stochastic.NewSplitMix64(seed^selSalt), 0.5, streamLen, sel)
+	d1 := make([]uint64, words)
+	d2 := make([]uint64, words)
+	e := make([]uint64, words)
+	lvl := func(x, y int) float64 { return float64(src.At(x, y)) / 255 }
+	for y := 0; y < src.H-1; y++ {
+		for x := 0; x < src.W-1; x++ {
+			s1, s2 := pixelSeeds(seed, y*src.W+x)
+			stochastic.FillAbsDiffPlane(stochastic.NewSplitMix64(s1), lvl(x, y), lvl(x+1, y+1), streamLen, d1)
+			stochastic.FillAbsDiffPlane(stochastic.NewSplitMix64(s2), lvl(x+1, y), lvl(x, y+1), streamLen, d2)
+			stochastic.MuxPlanes(e, sel, d1, d2)
+			out.Set(x, y, quantize(float64(stochastic.PlaneOnes(e))/float64(streamLen)))
+		}
+	}
+	return out
+}
+
+// TestRobertsCrossSCMatchesPlanePipeline is the identity of the
+// counter-indexed edge kernel: on a checkerboard (flat windows, so the
+// elision fires), a dense radial image and random pixels with the
+// extreme levels 0 and 255, every output pixel equals the plane
+// pipeline's, across awkward lengths and seeds near 2^64, on the
+// serial and the parallel engine.
+func TestRobertsCrossSCMatchesPlanePipeline(t *testing.T) {
+	noise := NewGray(9, 7)
+	rng := stochastic.NewSplitMix64(3)
+	for i := range noise.Pix {
+		noise.Pix[i] = []uint8{0, 255, uint8(rng.NextUint64())}[rng.NextUint64()%3]
+	}
+	images := map[string]*Gray{
+		"board":  Checkerboard(10, 9, 3, 30, 220),
+		"radial": Radial(9, 8),
+		"noise":  noise,
+	}
+	for _, name := range []string{"board", "radial", "noise"} {
+		src := images[name]
+		for _, streamLen := range []int{1, 63, 64, 65, 1000, 4096} {
+			for _, seed := range []uint64{7, 1<<64 - 1, 1<<64 - 3} {
+				want := referenceRobertsCross(src, streamLen, seed)
+				for _, e := range []engine.Engine{engine.Serial, engine.WordParallel} {
+					got, err := RobertsCrossSC(context.Background(), e, src, streamLen, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range want.Pix {
+						if got.Pix[i] != want.Pix[i] {
+							t.Fatalf("%s len %d seed %x %s: pixel %d = %d, want %d",
+								name, streamLen, seed, e.Name(), i, got.Pix[i], want.Pix[i])
+						}
+					}
+				}
+			}
+		}
 	}
 }

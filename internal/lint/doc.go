@@ -61,7 +61,7 @@
 // (the same parallel / engine dispatchers as detrand), `make`,
 // growing `append`, and fmt.Sprint* run
 // once per item; the rule points at the per-worker scratch pattern
-// (O(workers) allocations, see image.RobertsCrossSC) backing the
+// (O(workers) allocations, see the GoodEngineScratch fixture) backing the
 // ROADMAP zero-alloc push.
 //
 // # Suppressions

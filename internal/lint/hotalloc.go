@@ -10,7 +10,7 @@ import (
 // per-item `make` calls, growing `append`s, and fmt.Sprint* formatting
 // multiply allocations by the item count. The fix is the per-worker
 // scratch pattern on Run's worker index (O(workers) allocations, see
-// image.RobertsCrossSC) or hoisting the buffer outside the fan-out. Results that must be
+// the GoodEngineScratch fixture) or hoisting the buffer outside the fan-out. Results that must be
 // written per item (`out[i] = ...`) are unaffected — only fresh
 // allocations inside the body are flagged.
 var HotAlloc = &Analyzer{
