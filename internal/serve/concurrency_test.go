@@ -22,8 +22,8 @@ import (
 // response must be one of the typed outcomes — the correct 200 body, a
 // 503 backpressure rejection, or a 504 deadline — and 200 bodies must
 // all be byte-identical: saturation may shed load but never corrupt a
-// response. Run under -race this also proves the queue, cache and LUT
-// cache share state safely.
+// response. Run under -race this also proves the queue and the
+// response cache share state safely.
 func TestConcurrentRequestsNeverTorn(t *testing.T) {
 	s := New(Config{Engine: engine.Serial, Workers: 1, QueueDepth: 1})
 

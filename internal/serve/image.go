@@ -99,7 +99,7 @@ func (s *Server) handleImage(w http.ResponseWriter, r *http.Request) {
 		switch op {
 		case "gamma":
 			frames, ferr := img.GammaVideo(ctx, s.eng, []*img.Gray{src},
-				req.Gamma, req.Degree, req.SpacingNM, req.StreamLen, req.Seed, &s.lut)
+				req.Gamma, req.Degree, req.SpacingNM, req.StreamLen, req.Seed, nil)
 			if ferr != nil {
 				return entry{}, ferr
 			}

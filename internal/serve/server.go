@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	img "repro/internal/image"
 )
 
 // Config shapes a Server. The zero value is usable: every field has a
@@ -83,10 +82,6 @@ type Server struct {
 	queue *Queue
 	cache *Cache
 	mux   *http.ServeMux
-
-	// lut amortizes gamma LUT construction across requests (same
-	// recipe → one build), exactly like video frames share it.
-	lut img.GammaLUTCache
 
 	// writeErrs counts response-write failures (client gone mid-body);
 	// there is no recovery path for them, so they surface in /healthz
