@@ -71,26 +71,38 @@
 //	vals, err := sim.EvaluateBatch(ctx, e, trialInputs, 4096) // Monte-Carlo fan-out
 //	ber, err := sim.MeasureWorstCaseBER(200_000)              // Eq. (8) patterns, errors decided directly
 //
-// Image workloads run word-parallel end to end. Gamma correction
-// builds its 256-level LUT through the batch engines — and because
-// the LUT is a pure function of its recipe, image.GammaLUTCache
-// memoizes it across frames and image.GammaVideo corrects whole frame
-// batches through one cached table (oscbench -fig video), frames
-// fanned over the pool; Robert's-cross
-// edge detection — per-pixel correlated streams, no LUT shortcut —
-// runs on a tiled multi-core engine (image.RobertsCrossSC) built from
-// word-level plane kernels: stochastic.FillCorrelatedPlanes draws one
-// shared uniform per clock against two thresholds so XOR computes
-// |a−b| exactly, stochastic.FillAbsDiffPlane fuses that pair with its
-// XOR, and Xor/Not/Mux plane combinators run on per-worker scratch
-// with zero per-pixel allocations. Per-pixel stochastic.DeriveSeed
-// seeding keeps the tiled output bit-identical to the bit-serial
-// oracle on any GOMAXPROCS; flat image regions elide their RNG draws
-// entirely. core.AnalyzeYield fans Monte-Carlo dies over the same
-// pool with per-die derived seeds, reproducible on any core count.
+// Image workloads run on batch kernels that compute only the draws
+// their output reads. SplitMix64 is counter-based — draw t of a seed's
+// stream is a pure function of the seed and t — and both image
+// operators end in a multiplexer that discards most of the bits it is
+// fed, so a kernel indexes the stream at exactly the clocks that reach
+// the output. Gamma correction builds its 256-level LUT through
+// stochastic.EvaluateBatch (ReSC) or core.Unit.EvaluateBatch (optical):
+// per clock one stochastic.RowKernel draws the n data bits, then only
+// the coefficient bits that the weight's decision row reads — one of
+// n+1 while the optical eye is open, more on a degraded circuit, whose
+// rows core derives once per unit from its decision table. The LUT is
+// a pure function of its recipe, so image.GammaLUTCache memoizes it
+// across frames and image.GammaVideo corrects whole frame batches
+// through one table (oscbench -fig video), frames fanned over the pool.
+// Robert's-cross edge detection (image.RobertsCrossSC) splits its
+// ½-select plane into its 0 and 1 clocks once per call
+// (stochastic.SplitPlane) and counts each pixel's first
+// absolute-difference stream over the 0 clocks and its second over the
+// 1 clocks (stochastic.AbsDiffOnes: one shared draw per clock tested
+// against the band between the two thresholds, so the correlated XOR
+// is |a−b| exactly) — one draw per clock instead of two, no per-pixel
+// buffers, and flat diagonals draw nothing. The stateful paths stay as
+// the references the kernels are pinned to, bit for bit: the
+// word-parallel EvaluateWords/evalPacked evaluators and the plane
+// kernels (stochastic.FillAbsDiffPlane, MuxPlanes, PlaneOnes). Per-input
+// and per-pixel stochastic.DeriveSeed seeding keeps every output
+// bit-identical to the engine.Serial run on any GOMAXPROCS.
+// core.AnalyzeYield fans Monte-Carlo dies over the same pool with
+// per-die derived seeds, reproducible on any core count.
 // Quickstart:
 //
-//	sc, err := image.RobertsCrossSC(ctx, engine.WordParallel, src, 4096, seed) // packed tiled engine
+//	sc, err := image.RobertsCrossSC(ctx, engine.WordParallel, src, 4096, seed) // row bands on the pool
 //	oracle, err := image.RobertsCrossSC(ctx, engine.Serial, src, 4096, seed)   // identical bits
 //	rows, err := dse.EdgeStudy(ctx, e, []int{64, 256, 1024, 4096}, 7)          // oscbench -fig edge
 //
