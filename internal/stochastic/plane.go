@@ -156,9 +156,6 @@ func PlaneOnes(p []uint64) int {
 // of any seed's stream with one add. Build it with SplitPlane.
 type Clocks struct{ ctr []uint64 }
 
-// Len returns the number of clocks in the set.
-func (c Clocks) Len() int { return len(c.ctr) }
-
 // SplitPlane returns the clocks at which the n-bit plane sel is 0 and
 // those at which it is 1: the two routes of a multiplexer with select
 // stream sel.

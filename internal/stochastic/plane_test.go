@@ -228,8 +228,8 @@ func TestSplitPlane(t *testing.T) {
 		sel := make([]uint64, WordsFor(n))
 		FillPlane(NewSplitMix64(8), 0.5, n, sel)
 		zeros, ones := SplitPlane(sel, n)
-		if zeros.Len()+ones.Len() != n || ones.Len() != PlaneOnes(sel) {
-			t.Fatalf("n=%d: split %d + %d of %d set", n, zeros.Len(), ones.Len(), PlaneOnes(sel))
+		if len(zeros.ctr)+len(ones.ctr) != n || len(ones.ctr) != PlaneOnes(sel) {
+			t.Fatalf("n=%d: split %d + %d of %d set", n, len(zeros.ctr), len(ones.ctr), PlaneOnes(sel))
 		}
 		var z, o int
 		for clk := 0; clk < n; clk++ {

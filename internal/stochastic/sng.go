@@ -270,9 +270,9 @@ func (c *ChaoticSource) Next() float64 {
 // stochastic computing; used as the default software NumberSource.
 //
 // Counter-based means draw t (0-based) of the generator seeded with s
-// is a pure function of s + (t+1)·γ (splitMixAt). The batch kernels
-// read the stream that way, drawing only the clocks their output
-// reads; the stateful methods below step through it in order.
+// is a pure function of s + (t+1)·γ (splitMixCounter). The batch
+// kernels read the stream that way, drawing only the clocks their
+// output reads; the stateful methods below step through it in order.
 type SplitMix64 struct {
 	state uint64
 }
@@ -291,10 +291,6 @@ func splitMixMix(z uint64) uint64 {
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
 }
-
-// splitMixAt returns draw t of the generator seeded with seed without
-// stepping through the draws before it.
-func splitMixAt(seed uint64, t int) uint64 { return splitMixMix(seed + splitMixCounter(t)) }
 
 // NewSplitMix64 seeds the generator.
 func NewSplitMix64(seed uint64) *SplitMix64 { return &SplitMix64{state: seed} }

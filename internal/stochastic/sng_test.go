@@ -256,14 +256,14 @@ func TestSNGVarianceScalesInversely(t *testing.T) {
 	}
 }
 
-// TestSplitMixAtMatchesNextUint64: the counter-indexed draw t is the
-// (t+1)-th NextUint64 of the same seed, across word boundaries and for
-// seeds whose state wraps past 2^64.
-func TestSplitMixAtMatchesNextUint64(t *testing.T) {
+// TestSplitMixCounterMatchesNextUint64: the counter-indexed draw t is
+// the (t+1)-th NextUint64 of the same seed, across word boundaries and
+// for seeds whose state wraps past 2^64.
+func TestSplitMixCounterMatchesNextUint64(t *testing.T) {
 	for _, seed := range []uint64{0, 42, 1<<64 - 1, 1<<64 - splitMixGamma, 1<<64 - 4096} {
 		s := NewSplitMix64(seed)
 		for clk := 0; clk < 200; clk++ {
-			if got, want := splitMixAt(seed, clk), s.NextUint64(); got != want {
+			if got, want := splitMixMix(seed+splitMixCounter(clk)), s.NextUint64(); got != want {
 				t.Fatalf("seed %x draw %d: indexed %x vs stepped %x", seed, clk, got, want)
 			}
 		}
